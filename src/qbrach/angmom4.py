@@ -13,7 +13,6 @@ from itertools import permutations
 
 import numpy as np
 
-from .matcore import max_abs
 from .qbe import angmom_system, conserved_residuals, integrate_qbe
 
 
@@ -63,14 +62,18 @@ def qbe_conservation(n, l, f_coeffs, t_end: float, step: float) -> dict:
     m_mat = assemble_tensor(n, l)
     # e^{tM} via the Hermitian eigen-decomposition of iM.
     vals, vecs = np.linalg.eigh(1j * m_mat)
+    vecs_h = vecs.conj().T
 
     f0 = traj.f_at(0)
-    h_drift = 0.0
-    f_resid = 0.0
-    for i, t in enumerate(traj.times):
-        h_drift = max(h_drift, max_abs(traj.h_at(i) - h0))
-        rot = vecs @ np.diag(np.exp(-1j * t * vals)) @ vecs.conj().T
-        f_resid = max(f_resid, max_abs(traj.f_at(i) - rot @ f0 @ rot.conj().T))
+    worst = []
+    for lo, h, f in traj.blocks():
+        phases = np.zeros(h.shape, dtype=complex)
+        t = traj.times[lo:lo + len(h), None]
+        phases[:, range(4), range(4)] = np.exp(-1j * t * vals)
+        rot = vecs @ phases @ vecs_h
+        oracle = rot @ f0 @ rot.conj().transpose(0, 2, 1)
+        worst.append([np.max(np.abs(h - h0)), np.max(np.abs(f - oracle))])
+    h_drift, f_resid = np.max(worst, axis=0)
 
     report = conserved_residuals(traj, sys)
     report["hamiltonian_drift"] = float(h_drift)

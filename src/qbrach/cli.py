@@ -239,7 +239,8 @@ def _cmd_angmom_conserve(args) -> int:
         "total_square_drift",
         "spectrum_drift",
     ]
-    worst = max(report[k] for k in drift_keys)
+    # np.max, not max: a NaN drift must reach the verdict and fail it.
+    worst = float(np.max([report[k] for k in drift_keys]))
     verdict = "PASS" if worst < 1e-8 else "FAIL"
     payload = {
         "command": "angmom-conserve",

@@ -25,6 +25,11 @@ _PAULI = {
 }
 
 
+# sigma_i (x) sigma_j for every label, built once; callers receive copies.
+_KRON = {(i, j): np.kron(_PAULI[i], _PAULI[j])
+         for i in PAULI_INDICES for j in PAULI_INDICES}
+
+
 class MatrixError(ValueError):
     """Raised on dimension mismatches or invalid matrix inputs."""
 
@@ -83,11 +88,7 @@ def basis16() -> list[tuple[tuple[str, str], np.ndarray]]:
     Ordered by (i, j) over ('1', 'x', 'y', 'z').  Mutually trace-orthogonal
     with Tr[Y Y'] = 4 delta; only the ('1', '1') element has nonzero trace.
     """
-    out = []
-    for i in PAULI_INDICES:
-        for j in PAULI_INDICES:
-            out.append(((i, j), np.kron(_PAULI[i], _PAULI[j])))
-    return out
+    return [(lab, mat.copy()) for lab, mat in _KRON.items()]
 
 
 def traceless_labels() -> list[tuple[str, str]]:
@@ -96,9 +97,11 @@ def traceless_labels() -> list[tuple[str, str]]:
 
 
 def kron_matrix(label: tuple[str, str]) -> np.ndarray:
-    """Basis matrix for a Kronecker label (i, j)."""
+    """Basis matrix for a Kronecker label (i, j), as a fresh copy."""
     i, j = label
-    return np.kron(pauli(i), pauli(j))
+    if (i, j) not in _KRON:
+        raise MatrixError(f"unknown Kronecker label {label!r}")
+    return _KRON[i, j].copy()
 
 
 def mat_exp_diag(d: np.ndarray, t: float) -> np.ndarray:

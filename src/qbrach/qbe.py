@@ -10,12 +10,13 @@ Hermitian and makes the span split deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cliffrep import build_majorana
-from .matcore import commutator, kron_matrix, max_abs, trace_pair, traceless_labels
+from .matcore import commutator, kron_matrix, trace_pair, traceless_labels
 
 Label = tuple[str, str]
 
@@ -28,6 +29,18 @@ MAJORANA_H_SPAN: list[Label] = [("y", "1"), ("z", "z"), ("x", "1"), ("z", "x")]
 IMAG_LABELS: list[Label] = [
     ("1", "y"), ("x", "y"), ("y", "1"), ("y", "x"), ("y", "z"), ("z", "y"),
 ]
+
+
+# Samples per block when a trajectory's H(t) and F(t) are rebuilt for an
+# audit: bounds the audit's memory whatever the trajectory length.
+BLOCK_SAMPLES = 256
+
+# Most RK4 steps one integration may take; the trajectory holds 15 floats
+# per step.
+MAX_STEPS = 1_000_000
+
+# Relative distance of t_end / step from an integer that still counts as one.
+GRID_RTOL = 1e-9
 
 
 class QbeError(ValueError):
@@ -148,25 +161,27 @@ class Trajectory:
     def coeff_series(self, label: Label) -> np.ndarray:
         return self.coeffs[:, self.labels.index(label)]
 
-    def _resum(self, which: tuple[Label, ...], i: int) -> np.ndarray:
-        a = np.zeros((4, 4), dtype=complex)
+    def _stack(self, which: tuple[Label, ...], rows) -> np.ndarray:
+        """sum_a c_a(t_i) Y_a over the labels `which`, for the samples i that
+        `rows` selects from `coeffs`, as a (k, 4, 4) stack."""
+        c = self.coeffs[rows]
+        a = np.zeros((len(c), 4, 4), dtype=complex)
         for lab in which:
-            a = a + self.coeffs[i, self.labels.index(lab)] * kron_matrix(lab)
+            a = a + c[:, self.labels.index(lab), None, None] * kron_matrix(lab)
         return a
 
+    def blocks(self):
+        """(lo, H, F) for consecutive blocks of at most BLOCK_SAMPLES samples,
+        where H and F are the stacks for samples lo, lo + 1, ..."""
+        for lo in range(0, len(self.times), BLOCK_SAMPLES):
+            rows = slice(lo, lo + BLOCK_SAMPLES)
+            yield lo, self._stack(self.h_labels, rows), self._stack(self.f_labels, rows)
+
     def h_at(self, i: int) -> np.ndarray:
-        return self._resum(self.h_labels, i)
+        return self._stack(self.h_labels, [i])[0]
 
     def f_at(self, i: int) -> np.ndarray:
-        return self._resum(self.f_labels, i)
-
-    @property
-    def h_t(self) -> list[np.ndarray]:
-        return [self.h_at(i) for i in range(len(self.times))]
-
-    @property
-    def f_t(self) -> list[np.ndarray]:
-        return [self.f_at(i) for i in range(len(self.times))]
+        return self._stack(self.f_labels, [i])[0]
 
 
 def integrate_qbe(sys: BrachSystem, t_end: float, step: float) -> Trajectory:
@@ -175,8 +190,16 @@ def integrate_qbe(sys: BrachSystem, t_end: float, step: float) -> Trajectory:
     H and F are recovered at every stage by trace projection onto the
     declared spans; the state is the vector of 15 real basis coefficients.
     """
-    if step <= 0 or t_end <= 0:
-        raise QbeError("step and t_end must be positive")
+    if not (math.isfinite(step) and math.isfinite(t_end) and step > 0 and t_end > 0):
+        raise QbeError("step and t_end must be positive and finite")
+    ratio = t_end / step
+    if ratio > MAX_STEPS + 0.5:
+        raise QbeError(f"t_end / step = {ratio:g} exceeds the cap of {MAX_STEPS} steps")
+    n = round(ratio)
+    if n == 0:
+        raise QbeError(f"t_end / step = {ratio:g} rounds to 0 steps")
+    if abs(ratio - n) > GRID_RTOL * ratio:
+        raise QbeError(f"t_end / step = {ratio!r} is not an integer number of steps")
 
     labels = tuple(traceless_labels())
     basis = np.stack([kron_matrix(lab) for lab in labels])
@@ -186,13 +209,16 @@ def integrate_qbe(sys: BrachSystem, t_end: float, step: float) -> Trajectory:
     c0 = np.array([trace_pair(sys.h0 + sys.f0(), kron_matrix(lab)).real / 4.0
                    for lab in labels])
 
+    # np.tensordot(v, basis, axes=1) is exactly this dot; calling it directly
+    # gives the same bits without tensordot's reshaping overhead.
+    flat = basis.reshape(len(labels), 16)
+
     def rhs(c: np.ndarray) -> np.ndarray:
-        h = np.tensordot(c * h_mask, basis, axes=1)
-        f = np.tensordot(c * f_mask, basis, axes=1)
+        h = np.dot((c * h_mask).reshape(1, -1), flat).reshape(4, 4)
+        f = np.dot((c * f_mask).reshape(1, -1), flat).reshape(4, 4)
         comm = -1j * (h @ f - f @ h)
         return np.einsum("ij,aji->a", comm, basis).real / 4.0
 
-    n = int(round(t_end / step))
     times = np.arange(n + 1) * step
     out = np.empty((n + 1, len(labels)))
     out[0] = c0
@@ -210,21 +236,40 @@ def integrate_qbe(sys: BrachSystem, t_end: float, step: float) -> Trajectory:
     return Trajectory(times, out, labels, sys.h_span, sys.f_span, step)
 
 
+def _spectra(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each Hermitian matrix in a (..., 4, 4) stack.
+
+    All NaN when any entry is non-finite, so that a NaN coefficient always
+    shows as a NaN drift: given one, LAPACK may raise, or return finite
+    values when the NaN lies in the triangle it does not read.
+    """
+    if not np.isfinite(a).all():
+        return np.full(a.shape[:-1], np.nan)
+    return np.sort(np.linalg.eigvalsh(a), axis=-1)
+
+
+def _trace(a: np.ndarray) -> np.ndarray:
+    return np.trace(a, axis1=1, axis2=2)
+
+
 def conserved_residuals(traj: Trajectory, sys: BrachSystem) -> dict[str, float]:
-    """Drift of the flow's conserved quantities over a trajectory."""
-    n = len(traj.times)
+    """Drift of the flow's conserved quantities over a trajectory.
+
+    Each drift is the largest over all samples and is NaN if any sample's is.
+    """
     a0 = traj.h_at(0) + traj.f_at(0)
     tr_a2_0 = np.trace(a0 @ a0).real
-    eig0 = np.sort(np.linalg.eigvalsh(a0))
-    iso = cross = tr_a2 = spec = 0.0
-    for i in range(n):
-        h = traj.h_at(i)
-        f = traj.f_at(i)
+    eig0 = _spectra(a0)
+    worst = []
+    for _, h, f in traj.blocks():
         a = h + f
-        iso = max(iso, check_isotropic(h, sys.k))
-        cross = max(cross, abs(trace_pair(h, f)))
-        tr_a2 = max(tr_a2, abs(np.trace(a @ a).real - tr_a2_0))
-        spec = max(spec, max_abs(np.sort(np.linalg.eigvalsh(a)) - eig0))
+        worst.append([
+            np.max(np.abs(_trace(h @ h).real / 2.0 - sys.k)),
+            np.max(np.abs(_trace(h @ f))),
+            np.max(np.abs(_trace(a @ a).real - tr_a2_0)),
+            np.max(np.abs(_spectra(a) - eig0)),
+        ])
+    iso, cross, tr_a2, spec = np.max(worst, axis=0)
     return {
         "isotropic_drift": float(iso),
         "cross_trace_drift": float(cross),

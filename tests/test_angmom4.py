@@ -1,7 +1,12 @@
 """Tests for the 4-D angular momentum toy system."""
 
-import numpy as np
+import json
+from dataclasses import replace
 
+import numpy as np
+import pytest
+
+from qbrach import angmom4, cli
 from qbrach.angmom4 import (
     angmom_invariant,
     assemble_tensor,
@@ -11,6 +16,7 @@ from qbrach.angmom4 import (
     toy_hamiltonian,
 )
 from qbrach.matcore import max_abs
+from qbrach.qbe import BLOCK_SAMPLES, angmom_system, integrate_qbe
 
 
 def test_assemble_tensor_antisymmetric():
@@ -51,6 +57,62 @@ def test_qbe_conservation_drifts():
     assert report["hamiltonian_drift"] < 1e-8
     assert report["constraint_conjugation_residual"] < 1e-8
     assert report["isotropic_drift"] < 1e-10
+
+
+@pytest.fixture(scope="module")
+def angmom_flow():
+    """The data of angmom-conserve --seed 7, drawn in its order and integrated
+    over its default grid: 5001 samples."""
+    rng = np.random.default_rng(7)
+    n, l, f_coeffs = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 9)
+    traj = integrate_qbe(angmom_system(toy_hamiltonian(n, l), f_coeffs), 5.0, 1e-3)
+    return n, l, f_coeffs, traj
+
+
+def _conservation_with(monkeypatch, n, l, f_coeffs, traj):
+    """qbe_conservation run on a given trajectory in place of its own."""
+    monkeypatch.setattr(angmom4, "integrate_qbe", lambda *args: traj)
+    return qbe_conservation(n, l, f_coeffs, 5.0, 1e-3)
+
+
+@pytest.mark.parametrize("samples", [1, BLOCK_SAMPLES, BLOCK_SAMPLES + 1, 5001])
+def test_blocked_conservation_equals_per_sample_loop(monkeypatch, angmom_flow, samples):
+    n, l, f_coeffs, full = angmom_flow
+    traj = replace(full, times=full.times[:samples], coeffs=full.coeffs[:samples])
+    report = _conservation_with(monkeypatch, n, l, f_coeffs, traj)
+
+    # The per-sample loop that the blocked audit replaces: the reference.
+    h0 = toy_hamiltonian(n, l)
+    vals, vecs = np.linalg.eigh(1j * assemble_tensor(n, l))
+    f0 = traj.f_at(0)
+    h_drift = f_resid = 0.0
+    for i, t in enumerate(traj.times):
+        h_drift = max(h_drift, max_abs(traj.h_at(i) - h0))
+        rot = vecs @ np.diag(np.exp(-1j * t * vals)) @ vecs.conj().T
+        f_resid = max(f_resid, max_abs(traj.f_at(i) - rot @ f0 @ rot.conj().T))
+    assert report["hamiltonian_drift"] == h_drift
+    assert report["constraint_conjugation_residual"] == f_resid
+    assert f_resid > 0 or samples == 1
+
+
+def test_nan_coefficient_fails_angmom_conserve(monkeypatch, angmom_flow, tmp_path):
+    n, l, f_coeffs, full = angmom_flow
+    out = tmp_path / "ac.json"
+    monkeypatch.setattr(angmom4, "integrate_qbe", lambda *args: full)
+    assert cli.main(["angmom-conserve", "--seed", "7", "--out", str(out)]) == 0
+
+    coeffs = full.coeffs.copy()
+    coeffs[3000, full.labels.index(("x", "x"))] = np.nan  # a constraint label
+    traj = replace(full, coeffs=coeffs)
+    report = _conservation_with(monkeypatch, n, l, f_coeffs, traj)
+    assert np.isnan(report["constraint_conjugation_residual"])
+    assert np.isnan(report["spectrum_drift"])
+    assert report["hamiltonian_drift"] < 1e-8
+
+    assert cli.main(["angmom-conserve", "--seed", "7", "--out", str(out)]) == 1
+    payload = json.loads(out.read_text())
+    assert payload["verdict"] == "FAIL"
+    assert payload["max_drift"] == "nan"
 
 
 def test_block_propagator_matches_closed_form():

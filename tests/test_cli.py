@@ -1,12 +1,15 @@
 """End-to-end CLI tests run through subprocess, matching real usage."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 CLI = [sys.executable, "-m", "qbrach.cli"]
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "report-all-seed7.json"
 
 
 def run_cli(*args, cwd=None):
@@ -145,7 +148,29 @@ def test_out_dir_environment_variable(tmp_path):
     res = subprocess.run(
         CLI + ["verify-algebra", "--rep", "dirac", "--out", "va.json"],
         capture_output=True, text=True,
-        env={"QBRACH_OUT_DIR": str(env_dir), "PATH": "/usr/bin:/bin"},
+        env={**os.environ, "QBRACH_OUT_DIR": str(env_dir)},
     )
     assert res.returncode == 0, res.stderr
     assert (env_dir / "va.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    # 1 / 0.3 is no whole number of steps; the flow would stop at t = 0.9.
+    ["evolve", "--m", "1", "--px", "1", "--py", "1", "--pz", "1",
+     "--t-end", "1", "--step", "0.3"],
+    # 1 / 2 rounds to zero steps.
+    ["angmom-conserve", "--t-end", "1", "--step", "2"],
+])
+def test_time_grid_not_whole_steps_exits_2(tmp_path, argv):
+    out = tmp_path / "out"
+    res = run_cli(*argv, "--out", str(out))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+    assert not out.exists()
+
+
+def test_report_all_matches_reference_bytes(tmp_path):
+    out = tmp_path / "report-all.json"
+    res = run_cli("report-all", "--seed", "7", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    assert out.read_bytes() == REFERENCE.read_bytes()

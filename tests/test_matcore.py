@@ -53,7 +53,13 @@ def test_traceless_labels_excludes_identity():
 
 
 def test_kron_matrix_matches_explicit_kron():
+    for (i, j), _ in basis16():
+        assert max_abs(kron_matrix((i, j)) - kron(pauli(i), pauli(j))) == 0
+    # Each call returns its own array: writing to one leaves the next intact.
+    kron_matrix(("y", "z"))[0, 0] = 99.0
     assert max_abs(kron_matrix(("y", "z")) - kron(pauli("y"), pauli("z"))) == 0
+    with pytest.raises(MatrixError):
+        kron_matrix(("w", "z"))
 
 
 def test_commutator_anticommutator():

@@ -1,13 +1,17 @@
 """Tests for the matrix brachistochrone flow i d(H+F)/dt = [H, F]."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qbrach.cliffrep import build_majorana
 from qbrach.matcore import kron_matrix, max_abs, trace_pair
 from qbrach.qbe import (
+    BLOCK_SAMPLES,
     IMAG_LABELS,
     MAJORANA_H_SPAN,
+    MAX_STEPS,
     BrachSystem,
     QbeError,
     angmom_system,
@@ -133,3 +137,65 @@ def test_integrate_rejects_bad_step():
     sys_ = majorana_system(1.0, (1.0, 0.0, 0.0))
     with pytest.raises(QbeError):
         integrate_qbe(sys_, 1.0, 0.0)
+    # Grids that are not a whole, positive and bounded number of steps.
+    for t_end, step in [(1.0, 0.3), (1.0, 2.0), (1.0, float("nan")),
+                        (float("inf"), 1e-3), (2.0 * MAX_STEPS, 1.0)]:
+        with pytest.raises(QbeError):
+            integrate_qbe(sys_, t_end, step)
+    assert len(integrate_qbe(sys_, 0.3, 0.1).times) == 4
+
+
+def _resum(traj, which, i):
+    a = np.zeros((4, 4), dtype=complex)
+    for lab in which:
+        a = a + traj.coeffs[i, traj.labels.index(lab)] * kron_matrix(lab)
+    return a
+
+
+def _per_sample_residuals(traj, sys_):
+    """conserved_residuals as a loop over single samples: the reference."""
+    a0 = _resum(traj, traj.h_labels, 0) + _resum(traj, traj.f_labels, 0)
+    tr_a2_0 = np.trace(a0 @ a0).real
+    eig0 = np.sort(np.linalg.eigvalsh(a0))
+    iso = cross = tr_a2 = spec = 0.0
+    for i in range(len(traj.times)):
+        h = _resum(traj, traj.h_labels, i)
+        f = _resum(traj, traj.f_labels, i)
+        a = h + f
+        iso = max(iso, check_isotropic(h, sys_.k))
+        cross = max(cross, abs(trace_pair(h, f)))
+        tr_a2 = max(tr_a2, abs(np.trace(a @ a).real - tr_a2_0))
+        spec = max(spec, max_abs(np.sort(np.linalg.eigvalsh(a)) - eig0))
+    return {"isotropic_drift": iso, "cross_trace_drift": cross,
+            "total_square_drift": tr_a2, "spectrum_drift": spec}
+
+
+@pytest.fixture(scope="module")
+def generic_flow():
+    """A Majorana system with a random constraint, integrated over 5001 samples."""
+    lam = np.random.default_rng(23).uniform(-1, 1, 11)
+    sys_ = majorana_system(1.3, (0.5, -2.0, 1.25), lam=lam)
+    return sys_, integrate_qbe(sys_, 5.0, 1e-3)
+
+
+@pytest.mark.parametrize("samples", [1, BLOCK_SAMPLES, BLOCK_SAMPLES + 1, 5001])
+def test_blocked_residuals_equal_per_sample_loop(generic_flow, samples):
+    sys_, full = generic_flow
+    traj = replace(full, times=full.times[:samples], coeffs=full.coeffs[:samples])
+    report = conserved_residuals(traj, sys_)
+    assert report == _per_sample_residuals(traj, sys_)
+    assert report["spectrum_drift"] > 0 or samples == 1
+    for i in (0, samples - 1, -1):
+        assert np.array_equal(traj.h_at(i), _resum(traj, traj.h_labels, i))
+        assert np.array_equal(traj.f_at(i), _resum(traj, traj.f_labels, i))
+
+
+def test_nan_coefficient_gives_nan_residuals(generic_flow):
+    sys_, full = generic_flow
+    coeffs = full.coeffs[:600].copy()
+    coeffs[300, full.labels.index(("z", "1"))] = np.nan  # an F label
+    report = conserved_residuals(replace(full, times=full.times[:600], coeffs=coeffs), sys_)
+    assert np.isnan(report["cross_trace_drift"])
+    assert np.isnan(report["total_square_drift"])
+    assert np.isnan(report["spectrum_drift"])
+    assert report["isotropic_drift"] < 1e-9  # H is untouched
