@@ -48,6 +48,19 @@ def angmom_invariant(n, l) -> float:
     return float(np.trace(h @ h).real)
 
 
+def flow(m_mat: np.ndarray, times) -> np.ndarray:
+    """e^{tM} for each t in times, as a (len(times), 4, 4) complex stack.
+
+    Built from the Hermitian eigen-decomposition iM = V diag(v) V^dag as
+    V diag(e^{-itv}) V^dag.
+    """
+    vals, vecs = np.linalg.eigh(1j * m_mat)
+    times = np.asarray(times, dtype=float)
+    phases = np.zeros((len(times), 4, 4), dtype=complex)
+    phases[:, range(4), range(4)] = np.exp(-1j * times[:, None] * vals)
+    return vecs @ phases @ vecs.conj().T
+
+
 def qbe_conservation(n, l, f_coeffs, t_end: float, step: float) -> dict:
     """Integrate the flow and report conservation of every tensor component.
 
@@ -60,17 +73,10 @@ def qbe_conservation(n, l, f_coeffs, t_end: float, step: float) -> dict:
     traj = integrate_qbe(sys, t_end, step)
 
     m_mat = assemble_tensor(n, l)
-    # e^{tM} via the Hermitian eigen-decomposition of iM.
-    vals, vecs = np.linalg.eigh(1j * m_mat)
-    vecs_h = vecs.conj().T
-
     f0 = traj.f_at(0)
     worst = []
     for lo, h, f in traj.blocks():
-        phases = np.zeros(h.shape, dtype=complex)
-        t = traj.times[lo:lo + len(h), None]
-        phases[:, range(4), range(4)] = np.exp(-1j * t * vals)
-        rot = vecs @ phases @ vecs_h
+        rot = flow(m_mat, traj.times[lo:lo + len(h)])
         oracle = rot @ f0 @ rot.conj().transpose(0, 2, 1)
         worst.append([np.max(np.abs(h - h0)), np.max(np.abs(f - oracle))])
     h_drift, f_resid = np.max(worst, axis=0)

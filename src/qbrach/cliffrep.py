@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matcore import anticommutator, commutator, kron, max_abs, pauli
+from .matcore import anticommutator, commutator, kron_matrix, max_abs, pauli, worst
 
 _EYE4 = np.eye(4, dtype=complex)
 
@@ -150,11 +150,10 @@ def kron_decomposition_residual() -> float:
     a_z = sigma_z (x) sigma_x.
     """
     rep = build_majorana()
-    one = pauli("1")
     pairs = [
-        (rep.beta, 1j * kron(pauli("y"), one)),
-        (rep.alpha[0], kron(pauli("z"), pauli("z"))),
-        (rep.alpha[1], kron(pauli("x"), one)),
-        (rep.alpha[2], kron(pauli("z"), pauli("x"))),
+        (rep.beta, 1j * kron_matrix(("y", "1"))),
+        (rep.alpha[0], kron_matrix(("z", "z"))),
+        (rep.alpha[1], kron_matrix(("x", "1"))),
+        (rep.alpha[2], kron_matrix(("z", "x"))),
     ]
-    return max(max_abs(a - b) for a, b in pairs)
+    return worst(max_abs(a - b) for a, b in pairs)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cliffrep import build_majorana
-from .matcore import is_hermitian, max_abs
+from .matcore import is_hermitian, max_abs, worst
 from .propagate import evolve_hamiltonian, majorana_eigenframe, propagator
 
 
@@ -90,7 +90,7 @@ def check_frame_equivalence(case: FrameCase) -> dict:
         "headline": abs(expectation(ht, case.v) - expectation(h0, case.w)),
     }
     tol = 1e-10
-    verdict = "PASS" if max(residuals.values()) < tol else "FAIL"
+    verdict = "PASS" if worst(residuals.values()) < tol else "FAIL"
     return {"residuals": residuals, "tol": tol, "verdict": verdict}
 
 
@@ -103,10 +103,10 @@ def check_klein_gordon(m: float, p, t_grid) -> float:
     frame = majorana_eigenframe(float(m), tuple(p))
     h0 = rep.hamiltonian(float(m), tuple(p))
     target = (m * m + float(p @ p)) * np.eye(4)
-    worst = 0.0
+    residuals = []
     for t in np.asarray(t_grid, dtype=float):
         ht = evolve_hamiltonian(frame, h0, float(t))
         if not is_hermitian(ht):
             raise FrameError("evolved Hamiltonian lost Hermiticity")
-        worst = max(worst, max_abs(ht @ ht - target))
-    return worst
+        residuals.append(max_abs(ht @ ht - target))
+    return worst(residuals)

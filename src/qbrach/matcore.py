@@ -12,9 +12,6 @@ import numpy as np
 # Default absolute comparison tolerance for floating-point checks.
 DEFAULT_TOL = 1e-10
 
-# Off-diagonal threshold below which a matrix counts as diagonal.
-DIAG_TOL = 1e-12
-
 PAULI_INDICES = ("1", "x", "y", "z")
 
 _PAULI = {
@@ -34,29 +31,12 @@ class MatrixError(ValueError):
     """Raised on dimension mismatches or invalid matrix inputs."""
 
 
-def as_mat(entries) -> np.ndarray:
-    """Coerce to a square complex matrix of dim 2 or 4."""
-    a = np.asarray(entries, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] not in (2, 4):
-        raise MatrixError(f"expected 2x2 or 4x4 matrix, got shape {a.shape}")
-    return a
-
-
 def pauli(index: str) -> np.ndarray:
     """Pauli matrix for index in {'1', 'x', 'y', 'z'} ('1' is the identity)."""
     try:
         return _PAULI[index].copy()
     except KeyError:
         raise MatrixError(f"unknown Pauli index {index!r}") from None
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two 2x2 matrices, giving a 4x4 matrix."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != (2, 2) or b.shape != (2, 2):
-        raise MatrixError("kron expects two 2x2 matrices")
-    return np.kron(a, b)
 
 
 def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
@@ -104,19 +84,6 @@ def kron_matrix(label: tuple[str, str]) -> np.ndarray:
     return _KRON[i, j].copy()
 
 
-def mat_exp_diag(d: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i t d) for a diagonal matrix d.
-
-    Raises MatrixError if any off-diagonal magnitude exceeds DIAG_TOL.
-    Unitary whenever d is real.
-    """
-    d = np.asarray(d, dtype=complex)
-    off = d - np.diag(np.diag(d))
-    if np.abs(off).max(initial=0.0) >= DIAG_TOL:
-        raise MatrixError("mat_exp_diag requires a diagonal matrix")
-    return np.diag(np.exp(-1j * t * np.diag(d)))
-
-
 def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.abs(a - a.conj().T).max() < tol)
 
@@ -130,6 +97,16 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.abs(a).max())
 
 
+def worst(residuals) -> float:
+    """Largest of a non-empty collection of residuals, NaN if any is NaN.
+
+    Every PASS/FAIL verdict reduces its residuals here and then compares
+    with `< tol`, so a NaN fails.  The builtin max is no substitute: it
+    drops a NaN that does not come first.
+    """
+    return float(np.max(np.fromiter(residuals, dtype=float)))
+
+
 def mat_to_json(a: np.ndarray) -> dict:
     """Serialize a matrix as {"dim": n, "re": [...], "im": [...]} row-major."""
     a = np.asarray(a, dtype=complex)
@@ -138,10 +115,3 @@ def mat_to_json(a: np.ndarray) -> dict:
         "re": [float(x) for x in a.real.ravel()],
         "im": [float(x) for x in a.imag.ravel()],
     }
-
-
-def mat_from_json(obj: dict) -> np.ndarray:
-    n = int(obj["dim"])
-    re = np.asarray(obj["re"], dtype=float).reshape(n, n)
-    im = np.asarray(obj["im"], dtype=float).reshape(n, n)
-    return re + 1j * im

@@ -190,8 +190,8 @@ def classify_mass(
     """
     p = np.asarray(p, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size == 0:
-        raise PropagateError("t_grid must be non-empty")
+    if t_grid.size < 2:
+        raise PropagateError("t_grid needs at least 2 samples to classify")
     energy = float(np.sqrt(m0 * m0 + p @ p))
     expected_rate = 2.0 * energy
 

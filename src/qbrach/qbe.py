@@ -78,18 +78,6 @@ def check_isotropic(h: np.ndarray, k: float) -> float:
     return float(abs(np.trace(h @ h).real / 2.0 - k))
 
 
-def energy_variance(h: np.ndarray, psi: np.ndarray) -> float:
-    """<psi|h^2|psi> - <psi|h|psi>^2 for a normalized state."""
-    psi = np.asarray(psi, dtype=complex)
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-12:
-        raise QbeError(f"state not normalized: |psi| = {norm}")
-    hpsi = h @ psi
-    mean = (psi.conj() @ hpsi).real
-    mean_sq = (hpsi.conj() @ hpsi).real
-    return float(mean_sq - mean * mean)
-
-
 @dataclass(frozen=True)
 class BrachSystem:
     """Hamiltonian-plus-constraint initial data for the matrix flow."""

@@ -44,7 +44,6 @@ class ScatterConfig:
     theta: float
     rep: str = "gamma_scatter"  # or "majorana"
     phi: float | None = None
-    rotating_mass: bool = False  # reserved; the rotating mass is not injected
 
     def __post_init__(self):
         if self.m <= 0 or self.omega1 <= 0:
@@ -53,8 +52,6 @@ class ScatterConfig:
             raise ScatterError("theta must lie in [0, pi]")
         if self.rep not in ("gamma_scatter", "majorana"):
             raise ScatterError(f"unknown representation {self.rep!r}")
-        if self.rotating_mass:
-            raise ScatterError("rotating-mass scattering is not implemented")
 
 
 def compton_omega2(m: float, omega1: float, theta: float) -> float:

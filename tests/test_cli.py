@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from qbrach import cli
+
 CLI = [sys.executable, "-m", "qbrach.cli"]
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "report-all-seed7.json"
 
@@ -16,6 +18,16 @@ def run_cli(*args, cwd=None):
     return subprocess.run(
         CLI + list(args), capture_output=True, text=True, cwd=cwd
     )
+
+
+def run_main(capsys, *args):
+    """cli.main in this process: (exit code, stdout, stderr)."""
+    try:
+        code = cli.main(list(args))
+    except SystemExit as exc:  # argparse rejects an argument
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
 def test_verify_algebra_majorana(tmp_path):
@@ -174,3 +186,66 @@ def test_report_all_matches_reference_bytes(tmp_path):
     res = run_cli("report-all", "--seed", "7", "--out", str(out))
     assert res.returncode == 0, res.stderr
     assert out.read_bytes() == REFERENCE.read_bytes()
+
+
+MASS_MOMENTUM = ["--m", "1", "--px", "1", "--py", "1", "--pz", "1"]
+
+# A valid argument list per subcommand that takes float options.
+VALID_FLOAT_ARGS = {
+    "evolve": [*MASS_MOMENTUM, "--t-end", "0.01", "--step", "1e-3"],
+    "classify-mass": ["--rep", "majorana", *MASS_MOMENTUM, "--t-end", "3"],
+    "angmom": ["--nx", "1", "--lyz", "2", "--t", "0.5"],
+    "angmom-conserve": ["--t-end", "0.01", "--step", "1e-3"],
+    "compton": ["--rep", "gamma", "--m", "1", "--omega1", "1"],
+    "frames": [*MASS_MOMENTUM, "--t", "0.7"],
+}
+
+
+@pytest.mark.parametrize("command,option,value", [
+    (command, option, value)
+    for command, argv in VALID_FLOAT_ARGS.items()
+    for option in argv[::2] if option != "--rep"
+    for value in ("nan", "inf", "-inf")
+])
+def test_non_finite_float_exits_2(capsys, tmp_path, command, option, value):
+    # compton --m nan once printed PASS over a CSV of NaN and exited 0.
+    argv = VALID_FLOAT_ARGS[command]
+    at = argv.index(option)
+    out = tmp_path / "out"
+    bad = [*argv[:at], f"{option}={value}", *argv[at + 2:], "--out", str(out)]
+    code, _, err = run_main(capsys, command, *bad)
+    assert code == 2
+    assert f"error: argument {option}: expected a finite number" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_classify_mass_needs_two_samples(capsys):
+    code, out, err = run_main(capsys, "classify-mass", "--rep", "majorana",
+                              *MASS_MOMENTUM, "--samples", "1")
+    assert code == 2
+    assert err.startswith("error:") and "CONSTANT" not in out
+
+
+def test_negative_exponent_value_parses(tmp_path):
+    args = ["evolve", "--m", "1.3", "--px", "0.5", "--py", "-2", "--t-end", "0.01",
+            "--step", "1e-3"]
+    separate, joined = tmp_path / "separate.csv", tmp_path / "joined.csv"
+    res = run_cli(*args, "--pz", "-6e-06", "--out", str(separate))
+    assert res.returncode == 0, res.stderr
+    res = run_cli(*args, "--pz=-6e-06", "--out", str(joined))
+    assert res.returncode == 0, res.stderr
+    assert separate.read_bytes() == joined.read_bytes()
+
+
+def test_frames_verdict_includes_klein_gordon(tmp_path):
+    # The identities pass here, but the Klein-Gordon residual is about 3e-9.
+    out = tmp_path / "frames.json"
+    res = run_cli("frames", "--m=1000", "--px=1000", "--py=1000", "--pz=1000",
+                  "--t=0.7", "--out", str(out))
+    assert res.returncode == 1
+    assert res.stdout == "frames: FAIL\n"
+    payload = json.loads(out.read_text())
+    assert payload["klein_gordon_residual"] >= 1e-10
+    assert max(payload["residuals"].values()) < payload["tol"]
+    assert payload["verdict"] == "FAIL"

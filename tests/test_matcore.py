@@ -10,15 +10,13 @@ from qbrach.matcore import (
     commutator,
     is_hermitian,
     is_unitary,
-    kron,
     kron_matrix,
-    mat_exp_diag,
-    mat_from_json,
     mat_to_json,
     max_abs,
     pauli,
     trace_pair,
     traceless_labels,
+    worst,
 )
 
 
@@ -54,10 +52,10 @@ def test_traceless_labels_excludes_identity():
 
 def test_kron_matrix_matches_explicit_kron():
     for (i, j), _ in basis16():
-        assert max_abs(kron_matrix((i, j)) - kron(pauli(i), pauli(j))) == 0
+        assert max_abs(kron_matrix((i, j)) - np.kron(pauli(i), pauli(j))) == 0
     # Each call returns its own array: writing to one leaves the next intact.
     kron_matrix(("y", "z"))[0, 0] = 99.0
-    assert max_abs(kron_matrix(("y", "z")) - kron(pauli("y"), pauli("z"))) == 0
+    assert max_abs(kron_matrix(("y", "z")) - np.kron(pauli("y"), pauli("z"))) == 0
     with pytest.raises(MatrixError):
         kron_matrix(("w", "z"))
 
@@ -71,13 +69,6 @@ def test_commutator_anticommutator():
     assert max_abs(commutator(a, b) + anticommutator(a, b) - 2 * a @ b) < 1e-13
 
 
-def test_mat_exp_diag():
-    d = np.diag([2.0, 2.0, -2.0, -2.0])
-    u = mat_exp_diag(d, 0.5)
-    assert is_unitary(u)
-    assert max_abs(u - np.diag(np.exp(-1j * 0.5 * np.diag(d)))) == 0
-
-
 def test_hermitian_unitary_predicates():
     assert is_hermitian(kron_matrix(("x", "y")))
     assert is_unitary(np.eye(4))
@@ -88,5 +79,22 @@ def test_hermitian_unitary_predicates():
 def test_json_round_trip():
     rng = np.random.default_rng(11)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    back = mat_from_json(mat_to_json(a))
+    obj = mat_to_json(a)
+    n = obj["dim"]
+    back = np.reshape(obj["re"], (n, n)) + 1j * np.reshape(obj["im"], (n, n))
     assert max_abs(a - back) == 0
+
+
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_worst_propagates_nan(at):
+    """A NaN in first, middle or last place gives NaN, from a list or a generator."""
+    residuals = [0.5, 1e-3, 2.0, 0.0, 1.5]
+    assert worst(residuals) == 2.0
+    residuals[at] = float("nan")
+    assert np.isnan(worst(residuals))
+    assert np.isnan(worst(r for r in residuals))
+
+
+def test_worst_rejects_empty():
+    with pytest.raises(ValueError):
+        worst([])

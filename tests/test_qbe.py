@@ -19,7 +19,6 @@ from qbrach.qbe import (
     check_isotropic,
     complement_span,
     conserved_residuals,
-    energy_variance,
     integrate_qbe,
     majorana_system,
     trace_project_rhs,
@@ -79,14 +78,6 @@ def test_brach_system_validates_isotropic_budget():
 def test_assemble_constraint_shape_check():
     with pytest.raises(QbeError):
         assemble_constraint([("z", "1")], np.zeros(2))
-
-
-def test_energy_variance_requires_normalized_state():
-    h = build_majorana().hamiltonian(1.0, (1.0, 1.0, 1.0))
-    psi = np.array([1.0, 0.0, 0.0, 0.0])
-    assert energy_variance(h, psi) >= 0
-    with pytest.raises(QbeError):
-        energy_variance(h, 2 * psi)
 
 
 def test_trace_projection_closed_form():

@@ -96,11 +96,6 @@ def test_intermediate_anticommutator():
     assert max_abs(lhs - 2 * m * (w1 - w2) * np.eye(4)) < 1e-14
 
 
-def test_rotating_mass_flag_reserved():
-    with pytest.raises(ScatterError):
-        ScatterConfig(1.0, 1.0, 0.5, rotating_mass=True)
-
-
 def test_phased_block_anticommutator_against_brute_force():
     rng = np.random.default_rng(67)
     for _ in range(200):
