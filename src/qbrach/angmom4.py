@@ -13,6 +13,7 @@ from itertools import permutations
 
 import numpy as np
 
+from .matcore import phase_stack
 from .qbe import angmom_system, conserved_residuals, integrate_qbe
 
 
@@ -55,10 +56,7 @@ def flow(m_mat: np.ndarray, times) -> np.ndarray:
     V diag(e^{-itv}) V^dag.
     """
     vals, vecs = np.linalg.eigh(1j * m_mat)
-    times = np.asarray(times, dtype=float)
-    phases = np.zeros((len(times), 4, 4), dtype=complex)
-    phases[:, range(4), range(4)] = np.exp(-1j * times[:, None] * vals)
-    return vecs @ phases @ vecs.conj().T
+    return vecs @ phase_stack(vals, times) @ vecs.conj().T
 
 
 def qbe_conservation(n, l, f_coeffs, t_end: float, step: float) -> dict:
@@ -89,7 +87,7 @@ def qbe_conservation(n, l, f_coeffs, t_end: float, step: float) -> dict:
 
 
 def block_propagator(n_x: float, l_yz: float, t: float) -> np.ndarray:
-    """Propagator for initial data with N_y = N_z = 0: two independent
+    """The propagator for initial data with N_y = N_z = 0: two independent
     rotations, by angle N_x t in the 01 block and L_yz t in the 23 block.
 
     Both blocks rotate with the same orientation [[c, -s], [s, c]].  Relative

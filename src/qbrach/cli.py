@@ -177,8 +177,6 @@ def _cmd_verify_algebra(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
-    if args.system != "majorana":
-        raise ValueError(f"unknown system {args.system!r}")
     sys_ = qbe.majorana_system(args.m, (args.px, args.py, args.pz))
     traj = qbe.integrate_qbe(sys_, args.t_end, args.step)
 
@@ -313,7 +311,7 @@ def _check_diagonalization(rng) -> list[tuple[str, float, float]]:
 
 def _check_propagator(rng) -> list[tuple[str, float, float]]:
     frame = propagate.majorana_eigenframe(1.0, (1.0, 1.0, 1.0))
-    u = propagate.propagator(frame).u
+    u = propagate.propagator(frame)
     residuals = []
     for _ in range(20):
         t, s, r = rng.uniform(-2, 2, 3)
@@ -503,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = add("evolve", _cmd_evolve, help="integrate the matrix flow and dump coefficients")
-    p.add_argument("--system", default="majorana")
+    p.add_argument("--system", default="majorana", choices=["majorana"])
     floats(p, *_MASS_MOMENTUM, "--t-end", "--step", required=True)
     p.add_argument("--out", required=True)
 

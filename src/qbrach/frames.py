@@ -46,7 +46,7 @@ def make_frame_case(v, t: float, m: float, p) -> FrameCase:
     v = v / norm
     p = tuple(float(x) for x in np.asarray(p, dtype=float))
     frame = majorana_eigenframe(float(m), p)
-    u = propagator(frame, strip_phase=True).u(t, 0.0)
+    u = propagator(frame)(t, 0.0)
     return FrameCase(v=v, w=np.conj(u.T) @ v, t=float(t), m=float(m), p=p,
                      energy=frame.energy)
 

@@ -12,6 +12,10 @@ import numpy as np
 # Default absolute comparison tolerance for floating-point checks.
 DEFAULT_TOL = 1e-10
 
+# Samples per block when a time series of matrices is built as one stack:
+# bounds the memory of an audit or a classification whatever the series length.
+BLOCK_SAMPLES = 256
+
 PAULI_INDICES = ("1", "x", "y", "z")
 
 _PAULI = {
@@ -88,8 +92,13 @@ def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.abs(a - a.conj().T).max() < tol)
 
 
-def is_unitary(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    return bool(np.abs(a @ a.conj().T - np.eye(a.shape[0])).max() < tol)
+def phase_stack(vals, times) -> np.ndarray:
+    """diag(e^{-i t vals}) for each t in times, as a (len(times), n, n) stack."""
+    times = np.asarray(times, dtype=float)
+    n = len(vals)
+    out = np.zeros((len(times), n, n), dtype=complex)
+    out[:, range(n), range(n)] = np.exp(-1j * times[:, None] * vals)
+    return out
 
 
 def max_abs(a: np.ndarray) -> float:

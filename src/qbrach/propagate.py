@@ -4,7 +4,7 @@ The closed-form eigenvector matrix W and its inverse diagonalize
 H = i m beta + alpha.p to D = E diag(1, 1, -1, -1).  The eigenmatrix evolves
 as W(t) = exp(-i t D) W(0), giving the two-time unitary
 U(t, s) = W(t) W^-1(s).  With the removable global phase e^{-iE(t-s)}
-included (the default), U(t, s) = diag(e^{-2iE(t-s)}, e^{-2iE(t-s)}, 1, 1).
+included, U(t, s) = diag(e^{-2iE(t-s)}, e^{-2iE(t-s)}, 1, 1).
 
 The evolved Hamiltonian H(t) = U H(0) U^dag keeps its p_x, p_z entries and
 rotates the (p_y + i m) entries by e^{-2iEt}; the complex mass coefficient
@@ -20,13 +20,19 @@ from typing import Callable
 import numpy as np
 
 from .cliffrep import SpinorRep
-from .matcore import basis16, max_abs
+from .matcore import BLOCK_SAMPLES, basis16, max_abs, phase_stack
 
 DEGENERACY_THRESHOLD = 1e-12
 
+# Largest deviation of a mass series (or of its modulus) that counts as none.
+CLASSIFY_TOL = 1e-10
+
+# Relative margin below the step limit pi / (2E): at it, phase steps of +-pi look alike.
+NYQUIST_MARGIN = 1e-9
+
 
 class PropagateError(ValueError):
-    """Raised on inconsistent frame/Hamiltonian pairings."""
+    """Raised on inconsistent frame/Hamiltonian pairings and unresolving time grids."""
 
 
 @dataclass(frozen=True)
@@ -95,41 +101,25 @@ def _pivoted_frame(m: float, p, energy: float, d: np.ndarray) -> EigenFrame:
     return EigenFrame(vecs, vecs.conj().T, d, energy, degenerate_fallback=True)
 
 
-def eigenframe_at(frame: EigenFrame, t: float, strip_phase: bool = True) -> np.ndarray:
-    """W(t) = exp(-i t D) W(0), with the universal phase e^{-iEt} applied
-    when strip_phase is True so rows match the e^{-2iEt}/1 pattern."""
-    phases = np.exp(-1j * t * np.diag(frame.d))
-    w_t = phases[:, None] * frame.w
-    if strip_phase:
-        w_t = np.exp(-1j * frame.energy * t) * w_t
-    return w_t
+def propagator(frame: EigenFrame) -> Callable[[float, float], np.ndarray]:
+    """U(t, s) = W(t) W^-1(s) as a function u(t, s) of the two times.
 
-
-@dataclass(frozen=True)
-class Propagator:
-    """Two-time unitary u(t, s) built from an eigenframe."""
-
-    u: Callable[[float, float], np.ndarray]
-    frame: EigenFrame
-
-
-def propagator(frame: EigenFrame, strip_phase: bool = True) -> Propagator:
-    """U(t, s) = W(t) W^-1(s) as a function of the two times.
-
-    Default convention carries the universal phase, giving the diagonal
-    matrix diag(e^{-2iE(t-s)}, e^{-2iE(t-s)}, 1, 1); with strip_phase=False
-    the bare exp(-i(t-s)D) is returned.
+    The bare exp(-i(t-s)D) carries the universal phase e^{-iE(t-s)}, giving
+    the diagonal matrix diag(e^{-2iE(t-s)}, e^{-2iE(t-s)}, 1, 1).
     """
     energy = frame.energy
 
     def u(t: float, s: float) -> np.ndarray:
         tau = t - s
         phases = np.exp(-1j * tau * np.diag(frame.d))
-        if strip_phase:
-            phases = np.exp(-1j * energy * tau) * phases
-        return np.diag(phases)
+        return np.diag(np.exp(-1j * energy * tau) * phases)
 
-    return Propagator(u, frame)
+    return u
+
+
+def eigenframe_at(frame: EigenFrame, t: float) -> np.ndarray:
+    """W(t) = U(t, 0) W(0), the eigenframe of H(t)."""
+    return propagator(frame)(t, 0.0) @ frame.w
 
 
 def evolve_hamiltonian(frame: EigenFrame, h0: np.ndarray, t: float) -> np.ndarray:
@@ -138,7 +128,7 @@ def evolve_hamiltonian(frame: EigenFrame, h0: np.ndarray, t: float) -> np.ndarra
     expected = np.sort(np.diag(frame.d).real)
     if max_abs(vals - expected) > 1e-8:
         raise PropagateError("h0 spectrum does not match the eigenframe")
-    u = propagator(frame).u(t, 0.0)
+    u = propagator(frame)(t, 0.0)
     return u @ h0 @ u.conj().T
 
 
@@ -173,13 +163,7 @@ class MassReport:
     phase_fit_residual: float
 
 
-def classify_mass(
-    rep: SpinorRep,
-    m0: float,
-    p,
-    t_grid,
-    tol: float = 1e-10,
-) -> MassReport:
+def classify_mass(rep: SpinorRep, m0: float, p, t_grid) -> MassReport:
     """Classify the mass coefficient of H(t) as constant or rotating.
 
     H(t) is evolved by conjugation with the diagonal propagator
@@ -187,26 +171,34 @@ def classify_mass(
     coefficient is read jointly with its alpha_y rotation partner (see
     mass_series_from_pairs); for the Dirac representation it is the direct
     trace projection onto beta.
+
+    The grid must resolve a rotation at rate 2E: at least 2 samples, a
+    nonzero span and every step below (1 - NYQUIST_MARGIN) pi / (2E).  A
+    coarser grid aliases the rotation, and a grid with no span cannot show it.
     """
     p = np.asarray(p, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size < 2:
         raise PropagateError("t_grid needs at least 2 samples to classify")
+    if not np.ptp(t_grid) > 0:
+        raise PropagateError("t_grid needs a nonzero span to classify")
     energy = float(np.sqrt(m0 * m0 + p @ p))
     expected_rate = 2.0 * energy
+    dt = np.abs(np.diff(t_grid)).max()
+    if not expected_rate * dt < np.pi * (1.0 - NYQUIST_MARGIN):
+        raise PropagateError(f"t_grid step {dt:.6g} does not resolve the mass rotation: "
+                             f"2E * step = {expected_rate * dt:.6g} must stay below pi")
 
     h0 = rep.hamiltonian(m0, p)
-    dmat = energy * np.diag([1.0, 1.0, -1.0, -1.0])
-    g_mass = rep.mass_gen
-    g_y = rep.alpha[1]
-
+    vals = energy * np.array([1.0, 1.0, -1.0, -1.0])
     c_mass = np.empty(t_grid.size)
     c_y = np.empty(t_grid.size)
-    for i, t in enumerate(t_grid):
-        u = np.diag(np.exp(-1j * t * np.diag(dmat)))
-        h_t = u @ h0 @ u.conj().T
-        c_mass[i] = np.trace(h_t @ g_mass).real / 4.0
-        c_y[i] = np.trace(h_t @ g_y).real / 4.0
+    for lo in range(0, t_grid.size, BLOCK_SAMPLES):
+        u = phase_stack(vals, t_grid[lo:lo + BLOCK_SAMPLES])
+        h_t = u @ h0 @ u.conj().transpose(0, 2, 1)
+        rows = slice(lo, lo + len(u))
+        c_mass[rows] = np.trace(h_t @ rep.mass_gen, axis1=1, axis2=2).real / 4.0
+        c_y[rows] = np.trace(h_t @ rep.alpha[1], axis1=1, axis2=2).real / 4.0
 
     if rep.name == "majorana":
         series = mass_series_from_pairs(m0, c_mass, c_y)
@@ -214,11 +206,11 @@ def classify_mass(
         series = c_mass.astype(complex)
 
     const_dev = float(np.abs(series - series[0]).max())
-    if const_dev < tol:
+    if const_dev < CLASSIFY_TOL:
         return MassReport("CONSTANT", t_grid, series, const_dev, 0.0, expected_rate, 0.0)
 
     modulus_dev = float(np.abs(np.abs(series) - abs(series[0])).max())
-    if modulus_dev < tol:
+    if modulus_dev < CLASSIFY_TOL:
         phase = np.unwrap(np.angle(series))
         # Least-squares linear fit of the unwrapped phase.
         a = np.vstack([t_grid, np.ones_like(t_grid)]).T

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cliffrep import build_majorana
-from .matcore import commutator, kron_matrix, trace_pair, traceless_labels
+from .matcore import BLOCK_SAMPLES, commutator, kron_matrix, trace_pair, traceless_labels
 
 Label = tuple[str, str]
 
@@ -30,10 +30,6 @@ IMAG_LABELS: list[Label] = [
     ("1", "y"), ("x", "y"), ("y", "1"), ("y", "x"), ("y", "z"), ("z", "y"),
 ]
 
-
-# Samples per block when a trajectory's H(t) and F(t) are rebuilt for an
-# audit: bounds the audit's memory whatever the trajectory length.
-BLOCK_SAMPLES = 256
 
 # Most RK4 steps one integration may take; the trajectory holds 15 floats
 # per step.
@@ -144,7 +140,6 @@ class Trajectory:
     labels: tuple[Label, ...]
     h_labels: tuple[Label, ...]
     f_labels: tuple[Label, ...]
-    step: float
 
     def coeff_series(self, label: Label) -> np.ndarray:
         return self.coeffs[:, self.labels.index(label)]
@@ -221,7 +216,7 @@ def integrate_qbe(sys: BrachSystem, t_end: float, step: float) -> Trajectory:
             raise QbeError(f"non-finite coefficients at t = {times[i + 1]}")
         out[i + 1] = c
 
-    return Trajectory(times, out, labels, sys.h_span, sys.f_span, step)
+    return Trajectory(times, out, labels, sys.h_span, sys.f_span)
 
 
 def _spectra(a: np.ndarray) -> np.ndarray:

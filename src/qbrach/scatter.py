@@ -32,18 +32,11 @@ class ScatterError(ValueError):
 
 
 @dataclass(frozen=True)
-class MatMomentum:
-    mat: np.ndarray
-    kind: str  # "timelike" | "lightlike"
-
-
-@dataclass(frozen=True)
 class ScatterConfig:
     m: float
     omega1: float
     theta: float
     rep: str = "gamma_scatter"  # or "majorana"
-    phi: float | None = None
 
     def __post_init__(self):
         if self.m <= 0 or self.omega1 <= 0:
@@ -78,24 +71,20 @@ def recoil_kinematics(cfg: ScatterConfig) -> tuple[float, float, float, float]:
     px = cfg.omega1 - w2 * np.cos(cfg.theta)
     py = -w2 * np.sin(cfg.theta)
     p2 = float(np.hypot(px, py))
-    phi = cfg.phi if cfg.phi is not None else float(np.arctan2(py, px))
-    return float(w2), float(e2), p2, phi
+    return float(w2), float(e2), p2, float(np.arctan2(py, px))
 
 
-def build_momenta(cfg: ScatterConfig) -> tuple[MatMomentum, MatMomentum, MatMomentum, MatMomentum]:
-    """The four matrix momenta (p1, p2, q1, q2) for the chosen representation."""
+def build_momenta(cfg: ScatterConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The four matrix momenta (p1, p2, q1, q2) for the chosen representation:
+    p1 and p2 timelike, q1 and q2 lightlike."""
     gt, gx, gy = _generators(cfg.rep)
     w2, e2, p2, phi = recoil_kinematics(cfg)
     w1, th = cfg.omega1, cfg.theta
-    p1_m = cfg.m * gt
-    p2_m = e2 * gt + 1j * p2 * (np.cos(phi) * gx + np.sin(phi) * gy)
-    q1_m = w1 * (gt + 1j * gx)
-    q2_m = w2 * (gt + 1j * (np.cos(th) * gx + np.sin(th) * gy))
     return (
-        MatMomentum(p1_m, "timelike"),
-        MatMomentum(p2_m, "timelike"),
-        MatMomentum(q1_m, "lightlike"),
-        MatMomentum(q2_m, "lightlike"),
+        cfg.m * gt,
+        e2 * gt + 1j * p2 * (np.cos(phi) * gx + np.sin(phi) * gy),
+        w1 * (gt + 1j * gx),
+        w2 * (gt + 1j * (np.cos(th) * gx + np.sin(th) * gy)),
     )
 
 
@@ -110,20 +99,16 @@ def verify_conservation(cfg: ScatterConfig) -> dict[str, float]:
     w2, e2, p2mag, _ = recoil_kinematics(cfg)
     w1, th = cfg.omega1, cfg.theta
 
-    lhs = p2.mat @ p2.mat
-    rhs = (
-        p1.mat @ p1.mat
-        + anticommutator(q1.mat - q2.mat, p1.mat)
-        - anticommutator(q1.mat, q2.mat)
-    )
+    lhs = p2 @ p2
+    rhs = p1 @ p1 + anticommutator(q1 - q2, p1) - anticommutator(q1, q2)
     return {
         "residual_energy": float(abs(e2 * e2 - p2mag * p2mag - cfg.m * cfg.m)),
         "residual_compton": float(
             abs(2 * cfg.m * (w1 - w2) - 2 * w1 * w2 * (1 - np.cos(th)))
         ),
         "residual_matrix": max_abs(lhs - rhs),
-        "residual_lightlike_q1": max_abs(q1.mat @ q1.mat),
-        "residual_lightlike_q2": max_abs(q2.mat @ q2.mat),
+        "residual_lightlike_q1": max_abs(q1 @ q1),
+        "residual_lightlike_q2": max_abs(q2 @ q2),
         "omega2": float(w2),
     }
 

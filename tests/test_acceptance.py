@@ -61,7 +61,7 @@ def test_criterion_03_propagator():
     m, p = 1.0, np.array([1.0, 1.0, 1.0])
     energy = 2.0
     frame = propagate.majorana_eigenframe(m, p)
-    u = propagate.propagator(frame).u
+    u = propagate.propagator(frame)
     diag_resid = group_resid = 0.0
     for _ in range(50):
         t, s, r, tau = rng.uniform(-3, 3, 4)

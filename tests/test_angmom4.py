@@ -15,8 +15,8 @@ from qbrach.angmom4 import (
     qbe_conservation,
     toy_hamiltonian,
 )
-from qbrach.matcore import max_abs
-from qbrach.qbe import BLOCK_SAMPLES, angmom_system, integrate_qbe
+from qbrach.matcore import BLOCK_SAMPLES, max_abs
+from qbrach.qbe import angmom_system, integrate_qbe
 
 
 def test_assemble_tensor_antisymmetric():

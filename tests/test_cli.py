@@ -227,6 +227,31 @@ def test_classify_mass_needs_two_samples(capsys):
     assert err.startswith("error:") and "CONSTANT" not in out
 
 
+@pytest.mark.parametrize("rep", ["majorana", "dirac"])
+@pytest.mark.parametrize("argv", [
+    # Each once exited 0: with CONSTANT, or with a heavy Majorana mass called
+    # ROTATING at a rate 94 % below 2E.
+    [*MASS_MOMENTUM, "--t-end", "0"],
+    [*MASS_MOMENTUM, "--samples", "2", "--t-end", "1.5707963267948966"],
+    ["--m", "1000", "--px", "1", "--py", "1", "--pz", "1"],
+], ids=["no-span", "whole-turn-step", "heavy"])
+def test_classify_mass_unresolving_grid_exits_2(capsys, tmp_path, rep, argv):
+    out = tmp_path / "out"
+    code, stdout, err = run_main(capsys, "classify-mass", "--rep", rep, *argv, "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: t_grid") and "Traceback" not in err
+    assert stdout == "" and not out.exists()
+
+
+def test_evolve_system_is_checked_by_the_parser(capsys, tmp_path):
+    out = tmp_path / "out"
+    code, stdout, err = run_main(capsys, "evolve", "--system", "dirac",
+                                 *VALID_FLOAT_ARGS["evolve"], "--out", str(out))
+    assert code == 2
+    assert "argument --system: invalid choice: 'dirac'" in err
+    assert stdout == "" and not out.exists()
+
+
 def test_negative_exponent_value_parses(tmp_path):
     args = ["evolve", "--m", "1.3", "--px", "0.5", "--py", "-2", "--t-end", "0.01",
             "--step", "1e-3"]

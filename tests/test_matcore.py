@@ -9,7 +9,6 @@ from qbrach.matcore import (
     basis16,
     commutator,
     is_hermitian,
-    is_unitary,
     kron_matrix,
     mat_to_json,
     max_abs,
@@ -69,11 +68,9 @@ def test_commutator_anticommutator():
     assert max_abs(commutator(a, b) + anticommutator(a, b) - 2 * a @ b) < 1e-13
 
 
-def test_hermitian_unitary_predicates():
+def test_hermitian_predicate():
     assert is_hermitian(kron_matrix(("x", "y")))
-    assert is_unitary(np.eye(4))
     assert not is_hermitian(np.diag([1j, 0, 0, 0]))
-    assert not is_unitary(2 * np.eye(4))
 
 
 def test_json_round_trip():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qbrach.cliffrep import build_dirac, build_majorana
-from qbrach.matcore import max_abs
+from qbrach.matcore import BLOCK_SAMPLES, max_abs
 from qbrach.propagate import (
     PropagateError,
     classify_mass,
@@ -48,7 +48,7 @@ def test_propagator_is_phased_diagonal():
     m, p = 1.0, np.array([1.0, 1.0, 1.0])
     energy = 2.0
     frame = majorana_eigenframe(m, p)
-    u = propagator(frame).u
+    u = propagator(frame)
     for _ in range(50):
         t, s = rng.uniform(-3, 3, 2)
         ph = np.exp(-2j * energy * (t - s))
@@ -58,20 +58,13 @@ def test_propagator_is_phased_diagonal():
 def test_propagator_group_laws():
     rng = np.random.default_rng(31)
     frame = majorana_eigenframe(0.5, (0.3, -1.2, 0.7))
-    u = propagator(frame).u
+    u = propagator(frame)
     for _ in range(50):
         t, s, r, tau = rng.uniform(-2, 2, 4)
         assert max_abs(u(t, s) @ u(t, s).conj().T - np.eye(4)) < 1e-10
         assert max_abs(u(t, s) @ u(s, r) - u(t, r)) < 1e-10
         # time-translation invariance: only t - s matters
         assert max_abs(u(t + tau, s + tau) - u(t, s)) < 1e-10
-
-
-def test_bare_propagator_without_phase_strip():
-    frame = majorana_eigenframe(1.0, (1.0, 1.0, 1.0))
-    u = propagator(frame, strip_phase=False).u(0.4, 0.0)
-    d = np.diag(frame.d)
-    assert max_abs(u - np.diag(np.exp(-1j * 0.4 * d))) == 0
 
 
 def test_eigenframe_at_consistency():
@@ -139,3 +132,48 @@ def test_classify_massless_majorana_constant():
 def test_classify_requires_samples():
     with pytest.raises(PropagateError):
         classify_mass(build_majorana(), 1.0, (1.0, 1.0, 1.0), [])
+
+
+@pytest.mark.parametrize("grid", [
+    # 2EΔt = 4 * 0.7 < pi: the fewest samples the grid rule allows.
+    np.linspace(0.0, 0.7, 2),
+    np.linspace(0.0, 3.0, BLOCK_SAMPLES),
+    np.linspace(0.0, 3.0, BLOCK_SAMPLES + 1),
+    np.linspace(0.0, 7.0, 1000),
+    np.linspace(0.0, 3.0, 200),  # report-all's classify_mass grid
+], ids=["2", "256", "257", "1000", "report-all"])
+@pytest.mark.parametrize("rep", [build_majorana(), build_dirac()], ids=["majorana", "dirac"])
+def test_blocked_classify_equals_per_sample_loop(rep, grid):
+    m, p = 1.0, np.array([1.0, 1.0, 1.0])
+    energy = np.sqrt(m * m + p @ p)
+    h0 = rep.hamiltonian(m, p)
+    dmat = energy * np.diag([1.0, 1.0, -1.0, -1.0])
+    c_mass = np.empty(grid.size)
+    c_y = np.empty(grid.size)
+    for i, t in enumerate(grid):
+        u = np.diag(np.exp(-1j * t * np.diag(dmat)))
+        h_t = u @ h0 @ u.conj().T
+        c_mass[i] = np.trace(h_t @ rep.mass_gen).real / 4.0
+        c_y[i] = np.trace(h_t @ rep.alpha[1]).real / 4.0
+    if rep.name == "majorana":
+        expected = mass_series_from_pairs(m, c_mass, c_y)
+    else:
+        expected = c_mass.astype(complex)
+    report = classify_mass(rep, m, p, grid)
+    assert report.mass_series.shape == expected.shape
+    assert (report.mass_series == expected).all()
+
+
+@pytest.mark.parametrize("m,grid", [
+    (1.0, np.zeros(300)),  # no span
+    (1.0, np.linspace(0.0, np.pi / 2, 2)),  # 2EΔt = 2 pi: one whole turn per step
+    (1.0, np.linspace(0.0, np.pi / 4, 2)),  # 2EΔt = pi exactly
+    (1000.0, np.linspace(0.0, 3.0, 300)),  # 2EΔt = 20
+], ids=["no-span", "whole-turn", "half-turn", "heavy"])
+@pytest.mark.parametrize("rep", [build_majorana(), build_dirac()], ids=["majorana", "dirac"])
+def test_classify_rejects_grids_that_miss_the_rotation(rep, m, grid):
+    # All but the half turn once gave a Majorana mass CONSTANT, or ROTATING at
+    # a rate 94 % below 2E.  At a half turn per step, +2E and -2E give the
+    # same samples.
+    with pytest.raises(PropagateError):
+        classify_mass(rep, m, (1.0, 1.0, 1.0), grid)

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from qbrach.cliffrep import build_majorana
-from qbrach.matcore import kron_matrix, max_abs, trace_pair
+from qbrach.matcore import BLOCK_SAMPLES, kron_matrix, max_abs, trace_pair
 from qbrach.qbe import (
-    BLOCK_SAMPLES,
     IMAG_LABELS,
     MAJORANA_H_SPAN,
     MAX_STEPS,

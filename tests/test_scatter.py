@@ -38,17 +38,16 @@ def test_compton_rejects_bad_inputs():
 def test_momentum_squares():
     cfg = ScatterConfig(1.0, 1.0, math.pi / 3)
     p1, p2, q1, q2 = build_momenta(cfg)
-    assert max_abs(p1.mat @ p1.mat - np.eye(4)) < 1e-14
-    assert max_abs(q1.mat @ q1.mat) < 1e-14
-    assert max_abs(q2.mat @ q2.mat) < 1e-14
-    assert p1.kind == "timelike" and q1.kind == "lightlike"
+    assert max_abs(p1 @ p1 - np.eye(4)) < 1e-14
+    assert max_abs(q1 @ q1) < 1e-14
+    assert max_abs(q2 @ q2) < 1e-14
 
 
 def test_forward_scattering_is_trivial():
     cfg = ScatterConfig(1.0, 1.0, 0.0)
     p1, p2, q1, q2 = build_momenta(cfg)
-    assert max_abs(q1.mat - q2.mat) == 0
-    assert max_abs(p1.mat - p2.mat) < 1e-15
+    assert max_abs(q1 - q2) == 0
+    assert max_abs(p1 - p2) < 1e-15
     res = verify_conservation(cfg)
     assert res["residual_energy"] == 0
     assert res["residual_matrix"] == 0
@@ -59,7 +58,7 @@ def test_q1_q2_anticommutator_value():
     cfg = ScatterConfig(1.0, 1.0, math.pi / 2)
     _, _, q1, q2 = build_momenta(cfg)
     w2 = compton_omega2(1.0, 1.0, math.pi / 2)
-    assert max_abs(anticommutator(q1.mat, q2.mat) - 2 * 1.0 * w2 * np.eye(4)) < 1e-14
+    assert max_abs(anticommutator(q1, q2) - 2 * 1.0 * w2 * np.eye(4)) < 1e-14
 
 
 def test_q1_dagger_q1_identity():
@@ -68,7 +67,7 @@ def test_q1_dagger_q1_identity():
     _, _, q1, _ = build_momenta(cfg)
     gt, gx, _, _ = build_gamma_scatter()
     expected = 4.0 * (2 * np.eye(4) + 1j * commutator(gt, gx))
-    assert max_abs(q1.mat.conj().T @ q1.mat - expected) < 1e-12
+    assert max_abs(q1.conj().T @ q1 - expected) < 1e-12
 
 
 def test_conservation_residuals_both_reps():
@@ -92,7 +91,7 @@ def test_intermediate_anticommutator():
     cfg = ScatterConfig(m, w1, th)
     p1, _, q1, q2 = build_momenta(cfg)
     w2 = compton_omega2(m, w1, th)
-    lhs = anticommutator(q1.mat - q2.mat, p1.mat)
+    lhs = anticommutator(q1 - q2, p1)
     assert max_abs(lhs - 2 * m * (w1 - w2) * np.eye(4)) < 1e-14
 
 
