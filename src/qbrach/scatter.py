@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cliffrep import build_gamma_scatter, build_majorana
-from .matcore import anticommutator, max_abs, pauli
+from .matcore import anticommutator, pauli
 
 _EYE4 = np.eye(4, dtype=complex)
 
@@ -33,21 +33,26 @@ class ScatterError(ValueError):
 
 @dataclass(frozen=True)
 class ScatterConfig:
+    """One Compton case; theta is one angle or a 1-D array of angles."""
+
     m: float
     omega1: float
-    theta: float
+    theta: float | np.ndarray
     rep: str = "gamma_scatter"  # or "majorana"
 
     def __post_init__(self):
         if self.m <= 0 or self.omega1 <= 0:
             raise ScatterError("m and omega1 must be positive")
-        if not 0.0 <= self.theta <= np.pi:
+        theta = np.asarray(self.theta, dtype=float)
+        if theta.ndim > 1 or theta.size == 0:
+            raise ScatterError("theta must be one angle or a non-empty 1-D array of angles")
+        if not np.all((0.0 <= theta) & (theta <= np.pi)):  # a NaN fails both
             raise ScatterError("theta must lie in [0, pi]")
         if self.rep not in ("gamma_scatter", "majorana"):
             raise ScatterError(f"unknown representation {self.rep!r}")
 
 
-def compton_omega2(m: float, omega1: float, theta: float) -> float:
+def compton_omega2(m: float, omega1: float, theta):
     """Scattered frequency from 1/w2 - 1/w1 = (1 - cos(theta)) / m."""
     if m <= 0 or omega1 <= 0:
         raise ScatterError("m and omega1 must be positive")
@@ -62,54 +67,74 @@ def _generators(rep: str):
     return gt, gx, gy
 
 
-def recoil_kinematics(cfg: ScatterConfig) -> tuple[float, float, float, float]:
-    """(omega2, E2, |p2|, phi) from energy-momentum conservation in the plane."""
-    w2 = compton_omega2(cfg.m, cfg.omega1, cfg.theta)
-    if w2 <= 0:
+def recoil_kinematics(cfg: ScatterConfig):
+    """(omega2, E2, |p2|, phi) from energy-momentum conservation in the plane.
+
+    Each has the shape of cfg.theta: np.float64 for one angle, an array for many.
+    """
+    theta = np.asarray(cfg.theta, dtype=float)
+    w2 = compton_omega2(cfg.m, cfg.omega1, theta)
+    if np.any(w2 <= 0):
         raise ScatterError("scattered frequency must be positive")
     e2 = cfg.m + cfg.omega1 - w2
-    px = cfg.omega1 - w2 * np.cos(cfg.theta)
-    py = -w2 * np.sin(cfg.theta)
-    p2 = float(np.hypot(px, py))
-    return float(w2), float(e2), p2, float(np.arctan2(py, px))
+    px = cfg.omega1 - w2 * np.cos(theta)
+    py = -w2 * np.sin(theta)
+    return w2, e2, np.hypot(px, py), np.arctan2(py, px)
 
 
-def build_momenta(cfg: ScatterConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The four matrix momenta (p1, p2, q1, q2) for the chosen representation:
-    p1 and p2 timelike, q1 and q2 lightlike."""
+def _momenta(cfg: ScatterConfig, kinematics) -> tuple[np.ndarray, ...]:
+    """(p1, p2, q1, q2) from recoil_kinematics(cfg), each of shape theta.shape + (4, 4)."""
     gt, gx, gy = _generators(cfg.rep)
-    w2, e2, p2, phi = recoil_kinematics(cfg)
-    w1, th = cfg.omega1, cfg.theta
+    # One 4x4 slot per angle: (k,) -> (k, 1, 1) broadcasts against the generators.
+    w2, e2, p2, phi, th = (np.expand_dims(x, (-2, -1))
+                           for x in (*kinematics, np.asarray(cfg.theta, dtype=float)))
+    shape = np.shape(cfg.theta) + (4, 4)
     return (
-        cfg.m * gt,
+        np.broadcast_to(cfg.m * gt, shape),
         e2 * gt + 1j * p2 * (np.cos(phi) * gx + np.sin(phi) * gy),
-        w1 * (gt + 1j * gx),
+        np.broadcast_to(cfg.omega1 * (gt + 1j * gx), shape),
         w2 * (gt + 1j * (np.cos(th) * gx + np.sin(th) * gy)),
     )
 
 
-def verify_conservation(cfg: ScatterConfig) -> dict[str, float]:
+def build_momenta(cfg: ScatterConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The four matrix momenta (p1, p2, q1, q2) for the chosen representation:
+    p1 and p2 timelike, q1 and q2 lightlike.  4x4 for one angle, (k, 4, 4)
+    stacks for k angles; p1 and q1 do not depend on the angle and are
+    read-only broadcast views."""
+    return _momenta(cfg, recoil_kinematics(cfg))
+
+
+def _entry_max(a: np.ndarray):
+    """Largest entry magnitude of each 4x4 matrix in a stack."""
+    return np.abs(a).max(axis=(-2, -1))
+
+
+def verify_conservation(cfg: ScatterConfig) -> dict:
     """Scalar and matrix residuals of the scattering identities.
 
     residual_energy:  E2^2 - p2^2 - m^2
     residual_compton: 2m(w1 - w2) - 2 w1 w2 (1 - cos(theta))
     residual_matrix:  p2^2 - (p1^2 + {(q1 - q2), p1} - {q1, q2}) entrywise
+
+    One call covers every angle of cfg.theta: each value is an np.float64
+    for one angle and an array over the angles for many, equal bit for bit
+    to the per-angle values.
     """
-    p1, p2, q1, q2 = build_momenta(cfg)
-    w2, e2, p2mag, _ = recoil_kinematics(cfg)
-    w1, th = cfg.omega1, cfg.theta
+    kinematics = recoil_kinematics(cfg)
+    p1, p2, q1, q2 = _momenta(cfg, kinematics)
+    w2, e2, p2mag, _ = kinematics
+    m, w1, th = cfg.m, cfg.omega1, np.asarray(cfg.theta, dtype=float)
 
     lhs = p2 @ p2
     rhs = p1 @ p1 + anticommutator(q1 - q2, p1) - anticommutator(q1, q2)
     return {
-        "residual_energy": float(abs(e2 * e2 - p2mag * p2mag - cfg.m * cfg.m)),
-        "residual_compton": float(
-            abs(2 * cfg.m * (w1 - w2) - 2 * w1 * w2 * (1 - np.cos(th)))
-        ),
-        "residual_matrix": max_abs(lhs - rhs),
-        "residual_lightlike_q1": max_abs(q1 @ q1),
-        "residual_lightlike_q2": max_abs(q2 @ q2),
-        "omega2": float(w2),
+        "residual_energy": np.abs(e2 * e2 - p2mag * p2mag - m * m),
+        "residual_compton": np.abs(2 * m * (w1 - w2) - 2 * w1 * w2 * (1 - np.cos(th))),
+        "residual_matrix": _entry_max(lhs - rhs),
+        "residual_lightlike_q1": _entry_max(q1 @ q1),
+        "residual_lightlike_q2": _entry_max(q2 @ q2),
+        "omega2": w2,
     }
 
 

@@ -1,9 +1,15 @@
 """Hypothesis runs derandomized, with no deadline and no example database,
 so the suite is deterministic.  Hypothesis's other cache files (the constants
 it collects from the source at collection time) go to a temporary directory
-removed at exit, so no .hypothesis/ directory appears in the checkout."""
+removed at exit, so no .hypothesis/ directory appears in the checkout.
 
+pyproject.toml puts src/ on this process's import path; PYTHONPATH gains it
+too, so the tests that start `python -m qbrach.cli` in a child process import
+the same package without an install."""
+
+import os
 import tempfile
+from pathlib import Path
 
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
@@ -13,3 +19,6 @@ settings.load_profile("qbrach")
 
 _HOME = tempfile.TemporaryDirectory(prefix="qbrach-hypothesis-")
 set_hypothesis_home_dir(_HOME.name)
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qbrach import cli
@@ -234,13 +235,41 @@ def test_classify_mass_needs_two_samples(capsys):
     [*MASS_MOMENTUM, "--t-end", "0"],
     [*MASS_MOMENTUM, "--samples", "2", "--t-end", "1.5707963267948966"],
     ["--m", "1000", "--px", "1", "--py", "1", "--pz", "1"],
-], ids=["no-span", "whole-turn-step", "heavy"])
+    [*MASS_MOMENTUM, "--t-end", "1e-12"],  # the mass turns by about 4e-12
+], ids=["no-span", "whole-turn-step", "heavy", "short-span"])
 def test_classify_mass_unresolving_grid_exits_2(capsys, tmp_path, rep, argv):
     out = tmp_path / "out"
     code, stdout, err = run_main(capsys, "classify-mass", "--rep", rep, *argv, "--out", str(out))
     assert code == 2
     assert err.startswith("error: t_grid") and "Traceback" not in err
     assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("rep", ["majorana", "dirac"])
+def test_classify_mass_short_span_without_mass_is_constant(capsys, rep):
+    code, stdout, err = run_main(capsys, "classify-mass", "--rep", rep, "--m", "0",
+                                 "--px", "1", "--py", "1", "--pz", "1", "--t-end", "1e-12")
+    assert (code, stdout, err) == (0, f"classify-mass {rep}: CONSTANT\n", "")
+
+
+def test_compton_angle_outside_range_exits_2(capsys, tmp_path):
+    out = tmp_path / "compton.csv"
+    code, stdout, err = run_main(capsys, "compton", "--rep", "gamma", "--m", "1", "--omega1", "1",
+                                 "--theta-grid", "0:4:8", "--out", str(out))
+    assert code == 2
+    assert err == "error: theta must lie in [0, pi]\n"
+    assert stdout == "" and not out.exists()
+
+
+def test_render_json_float_array_matches_recursive_rendering():
+    values = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308, -1e308,
+                       2.0, -7.0, 1e16, 1 / 3])
+    for arr in (values, values[::-1], values[:1], values[3:],
+                np.array([1.5, -0.0, np.nan, 3e38], dtype=np.float32)):
+        for indent in (0, 2, 6):
+            assert cli.render_json(arr, indent) == cli.render_json(arr.tolist(), indent)
+    assert cli.render_json({"a": values}) == cli.render_json({"a": values.tolist()})
+    assert cli.render_json(np.array([], dtype=float)) == "[]"
 
 
 def test_evolve_system_is_checked_by_the_parser(capsys, tmp_path):

@@ -6,6 +6,8 @@ import pytest
 from qbrach.cliffrep import build_dirac, build_majorana
 from qbrach.matcore import BLOCK_SAMPLES, max_abs
 from qbrach.propagate import (
+    CLASSIFY_TOL,
+    SPAN_MARGIN,
     PropagateError,
     classify_mass,
     eigenframe_at,
@@ -177,3 +179,20 @@ def test_classify_rejects_grids_that_miss_the_rotation(rep, m, grid):
     # same samples.
     with pytest.raises(PropagateError):
         classify_mass(rep, m, (1.0, 1.0, 1.0), grid)
+
+
+@pytest.mark.parametrize("rep", [build_majorana(), build_dirac()], ids=["majorana", "dirac"])
+def test_classify_rejects_spans_too_short_for_the_rotation(rep):
+    # Over t_end = 1e-12 a Majorana mass turns by about 4e-12, below
+    # CLASSIFY_TOL, and was once called CONSTANT.
+    m, p = 1.0, (1.0, 1.0, 1.0)
+    # The span over which a mass rotating at 2E = 4 moves SPAN_MARGIN * CLASSIFY_TOL.
+    limit = np.arcsin(SPAN_MARGIN * CLASSIFY_TOL / (2 * m)) / 2.0
+    for t_end in (1e-12, limit * (1 - 1e-6)):
+        for mass in (m, -m):
+            with pytest.raises(PropagateError, match="too short"):
+                classify_mass(rep, mass, p, np.linspace(0.0, t_end, 300))
+    report = classify_mass(rep, m, p, np.linspace(0.0, limit * (1 + 1e-6), 300))
+    assert report.verdict == ("ROTATING" if rep.name == "majorana" else "CONSTANT")
+    # With no mass there is nothing to rotate, whatever the span.
+    assert classify_mass(rep, 0.0, p, np.linspace(0.0, 1e-12, 300)).verdict == "CONSTANT"

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qbrach.cliffrep import build_gamma_scatter
+from qbrach.cliffrep import build_gamma_scatter, build_majorana
 from qbrach.matcore import anticommutator, commutator, max_abs
 from qbrach.scatter import (
     ScatterConfig,
@@ -33,6 +33,66 @@ def test_compton_rejects_bad_inputs():
         ScatterConfig(1.0, 1.0, 4.0)  # theta outside [0, pi]
     with pytest.raises(ScatterError):
         ScatterConfig(1.0, 1.0, 0.5, rep="weyl")
+
+
+@pytest.mark.parametrize("theta", [
+    [0.5, 3.2, 1.0],  # one angle above pi
+    [-1e-300, 0.5],  # one below 0
+    [0.0, np.nan, 1.0],
+    np.nan,
+    [[0.5, 1.0]],  # not 1-D
+    [],
+], ids=["above-pi", "below-0", "nan-in-array", "nan", "2-d", "empty"])
+def test_config_rejects_bad_angle_arrays(theta):
+    with pytest.raises(ScatterError):
+        ScatterConfig(1.0, 1.0, np.array(theta))
+
+
+def _per_angle(m, w1, th, rep):
+    """verify_conservation at one angle as it was computed before it took an
+    array of angles, kept as the reference for the grid."""
+    if rep == "majorana":
+        maj = build_majorana()
+        gt, gx, gy = 1j * maj.beta, maj.alpha[0], maj.alpha[1]
+    else:
+        gt, gx, gy, _ = build_gamma_scatter()
+    w2 = float(compton_omega2(m, w1, th))
+    e2 = m + w1 - w2
+    px, py = w1 - w2 * np.cos(th), -w2 * np.sin(th)
+    p2mag, phi = float(np.hypot(px, py)), float(np.arctan2(py, px))
+    p1 = m * gt
+    p2 = e2 * gt + 1j * p2mag * (np.cos(phi) * gx + np.sin(phi) * gy)
+    q1 = w1 * (gt + 1j * gx)
+    q2 = w2 * (gt + 1j * (np.cos(th) * gx + np.sin(th) * gy))
+    rhs = p1 @ p1 + anticommutator(q1 - q2, p1) - anticommutator(q1, q2)
+    return {
+        "residual_energy": abs(e2 * e2 - p2mag * p2mag - m * m),
+        "residual_compton": abs(2 * m * (w1 - w2) - 2 * w1 * w2 * (1 - np.cos(th))),
+        "residual_matrix": max_abs(p2 @ p2 - rhs),
+        "residual_lightlike_q1": max_abs(q1 @ q1),
+        "residual_lightlike_q2": max_abs(q2 @ q2),
+        "omega2": w2,
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 64, 1000])
+@pytest.mark.parametrize("rep", ["gamma_scatter", "majorana"])
+def test_compton_grid_equals_per_angle_loop(rep, n):
+    rng = np.random.default_rng(n)
+    m, w1 = rng.uniform(0.2, 3.0, 2)
+    if n == 1:
+        grids = [np.array([0.0]), np.array([math.pi]), rng.uniform(0.0, math.pi, 1)]
+    else:
+        grids = [np.concatenate([[0.0], np.sort(rng.uniform(0.0, math.pi, n - 2)), [math.pi]])]
+    for thetas in grids:
+        res = verify_conservation(ScatterConfig(m, w1, thetas, rep=rep))
+        for i, th in enumerate(thetas):
+            expected = _per_angle(m, w1, float(th), rep)
+            one = verify_conservation(ScatterConfig(m, w1, float(th), rep=rep))
+            for key, value in expected.items():
+                assert res[key].shape == thetas.shape, key
+                assert res[key][i] == value, (key, th)
+                assert isinstance(one[key], np.float64) and one[key] == value, (key, th)
 
 
 def test_momentum_squares():
