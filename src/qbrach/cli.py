@@ -3,12 +3,13 @@
 Every report carries schema_version "1"; floats are serialized with 17
 significant digits so identical inputs give byte-identical files.  Exit
 codes: 0 on PASS verdicts, 1 on FAIL/UNCLASSIFIED, 2 on input error,
-including a non-finite number.
+including a non-finite number, 3 when an integration diverges.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -488,7 +489,11 @@ def finite_float(token: str) -> float:
     return x
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qbrach parser, built on the first call; every later call returns
+    the same parser.  parse_args never mutates it: each call starts from a
+    fresh Namespace, so no parsed value carries over to the next call."""
     parser = argparse.ArgumentParser(
         prog="qbrach",
         description="Matrix brachistochrone flows, propagators, and scattering checks.",
@@ -559,6 +564,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except qbe.DivergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -40,7 +40,12 @@ GRID_RTOL = 1e-9
 
 
 class QbeError(ValueError):
-    """Raised on invalid system setup or a diverging integration."""
+    """Raised on invalid system setup or an invalid time grid."""
+
+
+class DivergenceError(ArithmeticError):
+    """Raised when an integration reaches non-finite coefficients: a numerical
+    failure of valid input, not an input error."""
 
 
 def complement_span(h_span: list[Label]) -> list[Label]:
@@ -206,15 +211,18 @@ def integrate_qbe(sys: BrachSystem, t_end: float, step: float) -> Trajectory:
     out = np.empty((n + 1, len(labels)))
     out[0] = c0
     c = c0
-    for i in range(n):
-        k1 = rhs(c)
-        k2 = rhs(c + 0.5 * step * k1)
-        k3 = rhs(c + 0.5 * step * k2)
-        k4 = rhs(c + step * k3)
-        c = c + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(c)):
-            raise QbeError(f"non-finite coefficients at t = {times[i + 1]}")
-        out[i + 1] = c
+    # A diverging flow overflows before the check below stops it; silence
+    # numpy's overflow warnings, since the check reports the divergence.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            k1 = rhs(c)
+            k2 = rhs(c + 0.5 * step * k1)
+            k3 = rhs(c + 0.5 * step * k2)
+            k4 = rhs(c + step * k3)
+            c = c + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            if not np.all(np.isfinite(c)):
+                raise DivergenceError(f"non-finite coefficients at t = {times[i + 1]}")
+            out[i + 1] = c
 
     return Trajectory(times, out, labels, sys.h_span, sys.f_span)
 

@@ -17,6 +17,7 @@ Compton frequency-shift formula.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,7 @@ class ScatterConfig:
     rep: str = "gamma_scatter"  # or "majorana"
 
     def __post_init__(self):
-        if self.m <= 0 or self.omega1 <= 0:
-            raise ScatterError("m and omega1 must be positive")
+        _check_mass_frequency(self.m, self.omega1)
         theta = np.asarray(self.theta, dtype=float)
         if theta.ndim > 1 or theta.size == 0:
             raise ScatterError("theta must be one angle or a non-empty 1-D array of angles")
@@ -52,10 +52,16 @@ class ScatterConfig:
             raise ScatterError(f"unknown representation {self.rep!r}")
 
 
-def compton_omega2(m: float, omega1: float, theta):
-    """Scattered frequency from 1/w2 - 1/w1 = (1 - cos(theta)) / m."""
+def _check_mass_frequency(m: float, omega1: float) -> None:
     if m <= 0 or omega1 <= 0:
         raise ScatterError("m and omega1 must be positive")
+    if not (math.isfinite(m) and math.isfinite(omega1)):  # NaN passes the test above
+        raise ScatterError("m and omega1 must be finite")
+
+
+def compton_omega2(m: float, omega1: float, theta):
+    """Scattered frequency from 1/w2 - 1/w1 = (1 - cos(theta)) / m."""
+    _check_mass_frequency(m, omega1)
     return 1.0 / (1.0 / omega1 + (1.0 - np.cos(theta)) / m)
 
 

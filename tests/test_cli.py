@@ -303,3 +303,52 @@ def test_frames_verdict_includes_klein_gordon(tmp_path):
     assert payload["klein_gordon_residual"] >= 1e-10
     assert max(payload["residuals"].values()) < payload["tol"]
     assert payload["verdict"] == "FAIL"
+
+
+def test_diverging_integration_exits_3(tmp_path):
+    # The flow overflows near t = 620; this once exited 2, the input-error
+    # code, after numpy overflow warnings on stderr.
+    out = tmp_path / "traj.csv"
+    res = run_cli("evolve", *MASS_MOMENTUM, "--t-end", "1000", "--step", "10",
+                  "--out", str(out))
+    assert res.returncode == 3
+    assert res.stderr == "error: non-finite coefficients at t = 620.0\n"
+    assert res.stdout == "" and not out.exists()
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+# Commands run one after another through one parser: valid runs, an argparse
+# error, a non-finite option, and a run that leaves at their defaults the
+# options the first call set.
+REUSE_SEQUENCE = [
+    ["classify-mass", "--rep", "majorana", *MASS_MOMENTUM, "--samples", "50", "--out", "cm.json"],
+    ["classify-mass", "--rep", "majorana", "--px", "1"],
+    ["compton", "--rep", "gamma", "--m", "nan", "--omega1", "1", "--out", "c.csv"],
+    ["classify-mass", "--rep", "majorana", *MASS_MOMENTUM],
+    ["report-all", "--seed", "7"],
+]
+
+
+def _run_sequence(capsys, monkeypatch, out_dir):
+    """(exit code, stdout, stderr, files in out_dir) after each command."""
+    out_dir.mkdir()
+    monkeypatch.setenv(cli.OUT_DIR_ENV, str(out_dir))
+    results = []
+    for argv in REUSE_SEQUENCE:
+        results.append((*run_main(capsys, *argv),
+                        {p.name: p.read_bytes() for p in out_dir.iterdir()}))
+    return results
+
+
+def test_shared_parser_runs_like_a_fresh_one(capsys, monkeypatch, tmp_path):
+    shared = _run_sequence(capsys, monkeypatch, tmp_path / "shared")
+    assert [r[0] for r in shared] == [0, 2, 2, 0, 0]
+    args = cli.build_parser().parse_args(REUSE_SEQUENCE[3])
+    assert (args.samples, args.out) == (300, None)
+
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    assert _run_sequence(capsys, monkeypatch, tmp_path / "fresh") == shared

@@ -35,6 +35,17 @@ def test_compton_rejects_bad_inputs():
         ScatterConfig(1.0, 1.0, 0.5, rep="weyl")
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("which", ["m", "omega1"])
+def test_non_finite_mass_or_frequency_is_rejected(which, value):
+    # A NaN once passed the m <= 0 test and gave NaN residuals.
+    kin = {"m": 1.0, "omega1": 1.0, which: value}
+    with pytest.raises(ScatterError):
+        compton_omega2(kin["m"], kin["omega1"], 0.5)
+    with pytest.raises(ScatterError):
+        ScatterConfig(kin["m"], kin["omega1"], 0.5)
+
+
 @pytest.mark.parametrize("theta", [
     [0.5, 3.2, 1.0],  # one angle above pi
     [-1e-300, 0.5],  # one below 0
