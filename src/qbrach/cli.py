@@ -240,15 +240,22 @@ def _cmd_classify_mass(args) -> int:
 
 
 def _cmd_angmom(args) -> int:
-    u = angmom4.block_propagator(args.nx, args.lyz, args.t)
+    # Angles too large for cos and sin give a NaN propagator, which the
+    # orthogonality residual reports; numpy need not warn about it.
+    with np.errstate(invalid="ignore"):
+        u = angmom4.block_propagator(args.nx, args.lyz, args.t)
+        resid = max_abs(u.T @ u - np.eye(4))
     payload = {
         "nx": args.nx,
         "lyz": args.lyz,
         "t": args.t,
         "u": mat_to_json(u.astype(complex)),
-        "orthogonality_residual": max_abs(u.T @ u - np.eye(4)),
+        "orthogonality_residual": resid,
     }
-    return _finish(args, payload, True, f"angmom: block propagator at t={args.t:g} written")
+    if worst([resid]) < 1e-12:
+        return _finish(args, payload, True, f"angmom: block propagator at t={args.t:g} written")
+    return _finish(args, payload, False,
+                   f"angmom: FAIL (orthogonality residual {resid:.3g} at t={args.t:g})")
 
 
 def _cmd_angmom_conserve(args) -> int:

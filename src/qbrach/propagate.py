@@ -14,6 +14,7 @@ untouched.  classify_mass turns that contrast into a verdict.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -62,7 +63,11 @@ def majorana_eigenframe(m: float, p) -> EigenFrame:
     """
     p = np.asarray(p, dtype=float)
     px, py, pz = p
-    energy = float(np.sqrt(m * m + p @ p))
+    with np.errstate(over="ignore"):
+        energy = float(np.sqrt(m * m + p @ p))
+    if not math.isfinite(energy):
+        raise PropagateError("E^2 = m^2 + |p|^2 is not finite: "
+                             "the Hamiltonian H = i m beta + alpha.p overflows")
     if energy <= 0.0:
         raise PropagateError("E = sqrt(m^2 + |p|^2) must be positive")
     d = np.diag([energy, energy, -energy, -energy]).astype(complex)

@@ -10,6 +10,7 @@ Hermitian and makes the span split deterministic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -136,6 +137,25 @@ def angmom_system(h0: np.ndarray, f_coeffs) -> BrachSystem:
     return BrachSystem(h0, tuple(IMAG_LABELS), tuple(f_span), np.asarray(f_coeffs, dtype=float), k)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A copy of `a` over an immutable bytes buffer: read-only, and no caller
+    can make it writeable again.  For arrays cached and shared by all callers."""
+    return np.frombuffer(a.tobytes(), dtype=a.dtype).reshape(a.shape)
+
+
+@functools.cache
+def _span_basis(labels: tuple[Label, ...]) -> np.ndarray:
+    """The basis matrices of `labels`, flattened, as the rows of one (k, 16)
+    array."""
+    return _frozen(np.stack([kron_matrix(lab).ravel() for lab in labels]))
+
+
+@functools.cache
+def _span_columns(labels: tuple[Label, ...], which: tuple[Label, ...]) -> np.ndarray:
+    """The position in `labels` of each label of `which`."""
+    return _frozen(np.array([labels.index(lab) for lab in which]))
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Integrated flow sampled on a uniform time grid."""
@@ -152,11 +172,8 @@ class Trajectory:
     def _stack(self, which: tuple[Label, ...], rows) -> np.ndarray:
         """sum_a c_a(t_i) Y_a over the labels `which`, for the samples i that
         `rows` selects from `coeffs`, as a (k, 4, 4) stack."""
-        c = self.coeffs[rows]
-        a = np.zeros((len(c), 4, 4), dtype=complex)
-        for lab in which:
-            a = a + c[:, self.labels.index(lab), None, None] * kron_matrix(lab)
-        return a
+        c = self.coeffs[rows][:, _span_columns(self.labels, which)]
+        return np.dot(c, _span_basis(which)).reshape(-1, 4, 4)
 
     def blocks(self):
         """(lo, H, F) for consecutive blocks of at most BLOCK_SAMPLES samples,
@@ -190,22 +207,28 @@ def integrate_qbe(sys: BrachSystem, t_end: float, step: float) -> Trajectory:
         raise QbeError(f"t_end / step = {ratio!r} is not an integer number of steps")
 
     labels = tuple(traceless_labels())
-    basis = np.stack([kron_matrix(lab) for lab in labels])
-    h_mask = np.array([lab in sys.h_span for lab in labels])
-    f_mask = np.array([lab in sys.f_span for lab in labels])
+    flat = _span_basis(labels)
+    masks = np.array([[lab in span for lab in labels] for span in (sys.h_span, sys.f_span)],
+                     dtype=float)
 
     c0 = np.array([trace_pair(sys.h0 + sys.f0(), kron_matrix(lab)).real / 4.0
                    for lab in labels])
 
-    # np.tensordot(v, basis, axes=1) is exactly this dot; calling it directly
-    # gives the same bits without tensordot's reshaping overhead.
-    flat = basis.reshape(len(labels), 16)
+    # Tr[-i [H, F] Y_a] / 4 as a gather.  Each basis matrix Y_a has one
+    # nonzero entry per column: term col of coefficient a is [H, F][col, row]
+    # times -i Y_a[row, col].  pos holds the flat index of that commutator
+    # entry and phase the factor, each as (4 terms, 15 coefficients).  The
+    # terms are added in the order of col; tests/test_qbe.py checks the bits
+    # against the einsum "ij,aji->a".
+    ys = flat.reshape(-1, 4, 4)
+    lab, col, row = np.nonzero(ys.transpose(0, 2, 1))  # ordered by (lab, col)
+    pos = (4 * col + row).reshape(-1, 4).T
+    phase = (-1j * ys[lab, row, col]).reshape(-1, 4).T
 
     def rhs(c: np.ndarray) -> np.ndarray:
-        h = np.dot((c * h_mask).reshape(1, -1), flat).reshape(4, 4)
-        f = np.dot((c * f_mask).reshape(1, -1), flat).reshape(4, 4)
-        comm = -1j * (h @ f - f @ h)
-        return np.einsum("ij,aji->a", comm, basis).real / 4.0
+        hf = np.dot(c * masks, flat).reshape(2, 4, 4)  # H and F
+        products = hf @ hf[::-1]  # HF and FH
+        return np.add.reduce((np.take(products[0] - products[1], pos) * phase).real) / 4.0
 
     times = np.arange(n + 1) * step
     out = np.empty((n + 1, len(labels)))

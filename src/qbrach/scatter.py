@@ -116,6 +116,7 @@ def _entry_max(a: np.ndarray):
     return np.abs(a).max(axis=(-2, -1))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def verify_conservation(cfg: ScatterConfig) -> dict:
     """Scalar and matrix residuals of the scattering identities.
 
@@ -126,6 +127,9 @@ def verify_conservation(cfg: ScatterConfig) -> dict:
     One call covers every angle of cfg.theta: each value is an np.float64
     for one angle and an array over the angles for many, equal bit for bit
     to the per-angle values.
+
+    Inputs too large for float64 give inf or NaN residuals, which fail any
+    `< tol` verdict; numpy does not warn about the overflow.
     """
     kinematics = recoil_kinematics(cfg)
     p1, p2, q1, q2 = _momenta(cfg, kinematics)

@@ -146,6 +146,21 @@ def test_angmom_json(tmp_path):
     assert payload["orthogonality_residual"] < 1e-12
 
 
+def test_nan_block_propagator_exits_1(tmp_path):
+    # Angles of 1e310 overflow: cos and sin give NaN.  This once printed the
+    # PASS line and exited 0, after numpy warnings on stderr.
+    out = tmp_path / "u.json"
+    res = run_cli("angmom", "--nx", "1e300", "--lyz", "1e300", "--t", "1e10",
+                  "--out", str(out))
+    assert res.returncode == 1
+    assert res.stdout == "angmom: FAIL (orthogonality residual nan at t=1e+10)\n"
+    assert res.stderr == ""
+    payload = json.loads(out.read_text())
+    assert payload["orthogonality_residual"] == "nan"
+    assert sorted(payload) == ["command", "lyz", "nx", "orthogonality_residual",
+                               "schema_version", "t", "u"]
+
+
 def test_angmom_conserve(tmp_path):
     out = tmp_path / "ac.json"
     res = run_cli("angmom-conserve", "--seed", "7", "--t-end", "1",
@@ -352,3 +367,28 @@ def test_shared_parser_runs_like_a_fresh_one(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
     assert cli.build_parser() is not cli.build_parser()
     assert _run_sequence(capsys, monkeypatch, tmp_path / "fresh") == shared
+
+
+def test_overflowing_compton_fails_without_warnings(tmp_path):
+    for rep in ("gamma", "majorana"):
+        res = run_cli("compton", "--rep", rep, "--m", "1e300", "--omega1", "1e300",
+                      "--theta-grid", "0:pi:4", "--out", str(tmp_path / "c.csv"))
+        assert res.returncode == 1
+        assert res.stdout == f"compton {rep}: FAIL over 4 angles (max residual nan)\n"
+        assert "Warning" not in res.stderr and res.stderr == ""
+
+
+@pytest.mark.parametrize("mass_momentum", [
+    ["--m", "1e200", "--px", "1", "--py", "1", "--pz", "1"],
+    ["--m", "1", "--px", "1e200", "--py", "1", "--pz", "1"],
+])
+def test_overflowing_frames_hamiltonian_exits_2(tmp_path, mass_momentum):
+    # E^2 overflows: this once exited 2 with "h0 spectrum does not match the
+    # eigenframe", after numpy warnings on stderr.
+    out = tmp_path / "frames.json"
+    res = run_cli("frames", *mass_momentum, "--t", "0.7", "--out", str(out))
+    assert res.returncode == 2
+    assert "Warning" not in res.stderr
+    assert res.stderr == ("error: E^2 = m^2 + |p|^2 is not finite: "
+                          "the Hamiltonian H = i m beta + alpha.p overflows\n")
+    assert res.stdout == "" and not out.exists()

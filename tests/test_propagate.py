@@ -97,6 +97,13 @@ def test_evolve_rejects_wrong_spectrum():
         evolve_hamiltonian(frame, np.diag([5.0, 1.0, -1.0, -5.0]), 0.1)
 
 
+@pytest.mark.parametrize("m,p", [(1e200, (1.0, 1.0, 1.0)), (np.float64(1e200), (0.0, 0.0, 0.0)),
+                                 (1.0, (0.0, 1e155, 1e155))])
+def test_eigenframe_rejects_overflowing_energy(m, p):
+    with np.errstate(all="raise"), pytest.raises(PropagateError, match="overflows"):
+        majorana_eigenframe(m, p)
+
+
 def test_project_coeffs_recovers_hamiltonian():
     h = build_majorana().hamiltonian(0.8, (0.1, 0.2, 0.3))
     coeffs = project_coeffs(h)
