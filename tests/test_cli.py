@@ -392,3 +392,16 @@ def test_overflowing_frames_hamiltonian_exits_2(tmp_path, mass_momentum):
     assert res.stderr == ("error: E^2 = m^2 + |p|^2 is not finite: "
                           "the Hamiltonian H = i m beta + alpha.p overflows\n")
     assert res.stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("mass", ["1e200", "1e154"])
+def test_overflowing_evolve_system_exits_2(tmp_path, mass):
+    # E^2 (m = 1e200) or k = Tr[H^2/2] (m = 1e154) overflows: this once exited
+    # 3 as a divergence at t = 0.1, after numpy warnings on stderr.
+    out = tmp_path / "traj.csv"
+    res = run_cli("evolve", "--m", mass, "--px", "1", "--py", "1", "--pz", "1",
+                  "--t-end", "1", "--step", "0.1", "--out", str(out))
+    assert res.returncode == 2
+    assert res.stderr == ("error: E^2 = m^2 + |p|^2 or k = Tr[H^2/2] is not finite: "
+                          "the Hamiltonian H = i m beta + alpha.p overflows\n")
+    assert res.stdout == "" and not out.exists()

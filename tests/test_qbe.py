@@ -15,6 +15,7 @@ from qbrach.qbe import (
     MAJORANA_H_SPAN,
     MAX_STEPS,
     BrachSystem,
+    DivergenceError,
     QbeError,
     angmom_system,
     assemble_constraint,
@@ -76,6 +77,26 @@ def test_brach_system_validates_isotropic_budget():
     with pytest.raises(QbeError):
         # Tr[H^2/2] = 2 E^2 = 8, so k = 1 must be rejected
         BrachSystem(h0, tuple(MAJORANA_H_SPAN), f_span, np.zeros(11), 1.0)
+
+
+def test_brach_system_rejects_nan_residuals():
+    sys_ = majorana_system(1.0, (1.0, 1.0, 1.0))
+    lam = sys_.lambda0.copy()
+    lam[0] = np.nan
+    h0 = sys_.h0.copy()
+    h0[0, 0] = np.nan
+    for bad in (dict(k=np.nan), dict(lambda0=lam), dict(h0=h0)):
+        with pytest.raises(QbeError):
+            replace(sys_, **bad)
+
+
+@pytest.mark.parametrize("m, p", [(1e200, (1.0, 1.0, 1.0)), (1.0, (1e200, 1.0, 1.0)),
+                                  (1e154, (1.0, 1.0, 1.0)), (np.nan, (1.0, 1.0, 1.0)),
+                                  (1.0, (np.inf, 0.0, 0.0))])
+def test_majorana_system_rejects_non_finite_energy(m, p):
+    # E or k = Tr[H^2/2] = 2 E^2 overflows (m = 1e154 overflows k alone).
+    with np.errstate(all="raise"), pytest.raises(QbeError, match="not finite"):
+        majorana_system(m, p)
 
 
 def test_assemble_constraint_shape_check():
@@ -283,3 +304,49 @@ def test_majorana_flow_is_bit_exact(m, p, lam, step):
        step=st.sampled_from([1e-3, 1e-2, 5e-2]))
 def test_angmom_flow_is_bit_exact(n, l, f, step):
     _assert_bit_exact(angmom_system(toy_hamiltonian(n, l), f), step)
+
+
+@pytest.mark.parametrize("sys_, step", [
+    (majorana_system(1.3, (0.5, -2.0, 1.25), lam=np.linspace(-1.0, 1.0, 11)), 1e-2),
+    (majorana_system(0.0, (0.0, 0.0, 0.0)), 1e-2),  # E = 0: H and F are zero
+    (majorana_system(0.0, (0.0, 1.0, 0.0)), 5e-2),
+    (angmom_system(toy_hamiltonian((0.3, 0.2, -0.5), (0.1, 0.7, 0.2)),
+                   np.linspace(-1.0, 1.0, 9)), 1e-2),
+])
+@pytest.mark.parametrize("steps", [1, BLOCK_SAMPLES, BLOCK_SAMPLES + 1])
+def test_integration_is_bit_exact_at_block_edges(sys_, step, steps):
+    traj = integrate_qbe(sys_, steps * step, step)
+    assert traj.coeffs.tobytes() == _reference_coeffs(sys_, step, steps).tobytes()
+
+
+def test_back_to_back_integrations_share_no_buffers():
+    first = majorana_system(1.3, (0.5, -2.0, 1.25))
+    second = angmom_system(toy_hamiltonian((0.3, 0.2, -0.5), (0.1, 0.7, 0.2)),
+                           np.linspace(-1.0, 1.0, 9))
+    a = integrate_qbe(first, 3.0, 1e-2)
+    a_bytes = a.coeffs.tobytes()
+    b = integrate_qbe(second, 3.0, 1e-2)
+    again = integrate_qbe(first, 3.0, 1e-2)
+    assert a.coeffs.tobytes() == a_bytes == again.coeffs.tobytes()
+    assert a_bytes == _reference_coeffs(first, 1e-2, 300).tobytes()
+    assert b.coeffs.tobytes() == _reference_coeffs(second, 1e-2, 300).tobytes()
+    for traj in (a, b, again):
+        assert traj.coeffs.flags.owndata and traj.coeffs.shape == (301, 15)
+    assert not np.shares_memory(a.coeffs, again.coeffs)
+
+
+# t_end and step of a diverging Majorana flow, and the block of BLOCK_SAMPLES
+# steps that reaches the first non-finite row: the first block, a later full
+# block, and a last block cut short (350 steps).
+@pytest.mark.parametrize("t_end, step, block", [(1000.0, 10.0, 0), (1000.0, 1.0, 1),
+                                                (350.0, 1.0, 1)])
+def test_divergence_names_first_non_finite_row(t_end, step, block):
+    sys_ = majorana_system(1.0, (1.0, 1.0, 1.0))
+    n = round(t_end / step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = _reference_coeffs(sys_, step, n)
+    row = np.flatnonzero(~np.isfinite(ref).all(axis=1))[0]
+    assert (row - 1) // BLOCK_SAMPLES == block
+    with np.errstate(all="raise"), pytest.raises(DivergenceError) as err:
+        integrate_qbe(sys_, t_end, step)
+    assert str(err.value) == f"non-finite coefficients at t = {(np.arange(n + 1) * step)[row]}"
