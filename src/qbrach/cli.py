@@ -90,23 +90,22 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def parse_angle(token: str) -> float:
-    """A float literal, optionally using pi: 'pi', '2*pi', 'pi/4', '3*pi/2'."""
+    """A finite float literal, optionally using pi: 'pi', '2*pi', 'pi/4', '3*pi/2'."""
     tok = token.strip().replace(" ", "")
     try:
-        return float(tok)
+        value = float(tok)
     except ValueError:
-        pass
-    sign = 1.0
-    if tok.startswith("-"):
-        sign, tok = -1.0, tok[1:]
-    num, _, den = tok.partition("/")
-    coef, _, tail = num.rpartition("*")
-    if tail != "pi":
-        raise ValueError(f"cannot parse angle {token!r}")
-    value = math.pi * (float(coef) if coef else 1.0)
-    if den:
-        value /= float(den)
-    return sign * value
+        sign, tok = (-1.0, tok[1:]) if tok.startswith("-") else (1.0, tok)
+        num, _, den = tok.partition("/")
+        coef, _, tail = num.rpartition("*")
+        if tail != "pi":
+            raise ValueError(f"cannot parse angle {token!r}")
+        value = sign * math.pi * (float(coef) if coef else 1.0)
+        divisor = float(den) if den else 1.0
+        value = value / divisor if divisor else math.inf  # x / 0 is not finite
+    if not math.isfinite(value):
+        raise ValueError(f"angle {token!r} is not finite")
+    return value
 
 
 def parse_grid(spec: str) -> np.ndarray:
@@ -194,20 +193,9 @@ def _cmd_evolve(args) -> int:
     sys_ = qbe.majorana_system(args.m, (args.px, args.py, args.pz))
     traj = qbe.integrate_qbe(sys_, args.t_end, args.step)
 
-    a0 = traj.h_at(0) + traj.f_at(0)
-    eig0 = np.sort(np.linalg.eigvalsh(a0))
-    tr0 = np.trace(a0 @ a0).real
-    rows = []
-    for i, t in enumerate(traj.times):
-        h, f = traj.h_at(i), traj.f_at(i)
-        a = h + f
-        rows.append(
-            [t, *traj.coeffs[i],
-             qbe.check_isotropic(h, sys_.k),
-             abs(np.trace(h @ f)),
-             abs(np.trace(a @ a).real - tr0),
-             max_abs(np.sort(np.linalg.eigvalsh(a)) - eig0)]
-        )
+    invariants = qbe.initial_invariants(traj)
+    rows = [[t, *traj.coeffs[i], *qbe.drifts(traj.h_at(i), traj.f_at(i), sys_.k, *invariants)]
+            for i, t in enumerate(traj.times)]
     header = (
         ["t"]
         + [f"c_{i}{j}" for i, j in traj.labels]

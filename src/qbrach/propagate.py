@@ -134,10 +134,10 @@ def eigenframe_at(frame: EigenFrame, t: float) -> np.ndarray:
 
 
 def evolve_hamiltonian(frame: EigenFrame, h0: np.ndarray, t: float) -> np.ndarray:
-    """H(t) = U(t, 0) H(0) U(t, 0)^dag; requires h0 to share the frame's spectrum."""
-    vals = np.sort(np.linalg.eigvalsh(h0))
+    """H(t) = U(t, 0) H(0) U(t, 0)^dag; requires h0 to share the frame's
+    spectrum, to within 1e-8 relative to E once E exceeds 1."""
     expected = np.sort(np.diag(frame.d).real)
-    if max_abs(vals - expected) > 1e-8:
+    if max_abs(np.linalg.eigvalsh(h0) - expected) > 1e-8 * max(1.0, frame.energy):
         raise PropagateError("h0 spectrum does not match the eigenframe")
     u = propagator(frame)(t, 0.0)
     return u @ h0 @ u.conj().T

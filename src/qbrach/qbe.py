@@ -75,9 +75,13 @@ def trace_project_rhs(h: np.ndarray, f: np.ndarray, g: np.ndarray) -> complex:
     return complex(np.trace(commutator(h, f) @ g))
 
 
-def check_isotropic(h: np.ndarray, k: float) -> float:
-    """|Tr[h^2 / 2] - k|, the energy-budget residual."""
-    return float(abs(np.trace(h @ h).real / 2.0 - k))
+def _trace(a: np.ndarray) -> np.ndarray:
+    return a.trace(axis1=-2, axis2=-1)
+
+
+def check_isotropic(h: np.ndarray, k: float) -> float | np.ndarray:
+    """|Tr[h^2 / 2] - k|, the energy-budget residual, of h or of each of a stack."""
+    return abs(_trace(h @ h).real / 2.0 - k)
 
 
 @dataclass(frozen=True)
@@ -302,11 +306,25 @@ def _spectra(a: np.ndarray) -> np.ndarray:
     """
     if not np.isfinite(a).all():
         return np.full(a.shape[:-1], np.nan)
-    return np.sort(np.linalg.eigvalsh(a), axis=-1)
+    return np.linalg.eigvalsh(a)
 
 
-def _trace(a: np.ndarray) -> np.ndarray:
-    return np.trace(a, axis1=1, axis2=2)
+def initial_invariants(traj: Trajectory) -> tuple[float, np.ndarray]:
+    """Tr[A0^2] and spec A0 of A0 = H(0) + F(0), the references of `drifts`."""
+    a0 = traj.h_at(0) + traj.f_at(0)
+    return _trace(a0 @ a0).real, _spectra(a0)
+
+
+def drifts(h: np.ndarray, f: np.ndarray, k: float, tr_a2_0: float, eig0: np.ndarray) -> tuple:
+    """|Tr[H^2]/2 - k|, |Tr[HF]|, |Tr[A^2] - Tr[A0^2]| and max |spec A - spec A0|,
+    A = H + F, for one sample (4x4 h, f) or each of a (k, 4, 4) stack.  The last
+    is the distance from an isospectral (Lax) flow (Calvo, Iserles & Zanna 1997).
+    """
+    a = h + f
+    return (check_isotropic(h, k),
+            abs(_trace(h @ f)),
+            abs(_trace(a @ a).real - tr_a2_0),
+            abs(_spectra(a) - eig0).max(axis=-1))
 
 
 def conserved_residuals(traj: Trajectory, sys: BrachSystem) -> dict[str, float]:
@@ -314,18 +332,9 @@ def conserved_residuals(traj: Trajectory, sys: BrachSystem) -> dict[str, float]:
 
     Each drift is the largest over all samples and is NaN if any sample's is.
     """
-    a0 = traj.h_at(0) + traj.f_at(0)
-    tr_a2_0 = np.trace(a0 @ a0).real
-    eig0 = _spectra(a0)
-    worst = []
-    for _, h, f in traj.blocks():
-        a = h + f
-        worst.append([
-            np.max(np.abs(_trace(h @ h).real / 2.0 - sys.k)),
-            np.max(np.abs(_trace(h @ f))),
-            np.max(np.abs(_trace(a @ a).real - tr_a2_0)),
-            np.max(np.abs(_spectra(a) - eig0)),
-        ])
+    invariants = initial_invariants(traj)
+    worst = [[np.max(d) for d in drifts(h, f, sys.k, *invariants)]
+             for _, h, f in traj.blocks()]
     iso, cross, tr_a2, spec = np.max(worst, axis=0)
     return {
         "isotropic_drift": float(iso),

@@ -1,15 +1,18 @@
 """End-to-end CLI tests run through subprocess, matching real usage."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qbrach import cli
+from qbrach import cli, qbe
+from qbrach.matcore import BLOCK_SAMPLES
 
 CLI = [sys.executable, "-m", "qbrach.cli"]
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "report-all-seed7.json"
@@ -276,6 +279,34 @@ def test_compton_angle_outside_range_exits_2(capsys, tmp_path):
     assert stdout == "" and not out.exists()
 
 
+@pytest.mark.parametrize("grid, message", [
+    ("0:pi/0:4", "angle 'pi/0' is not finite"),
+    ("0:pi/1e-400:4", "angle 'pi/1e-400' is not finite"),
+    ("0:1e400*pi:4", "angle '1e400*pi' is not finite"),
+    ("0:inf:4", "angle 'inf' is not finite"),
+    ("-inf:pi:4", "angle '-inf' is not finite"),
+    ("nan:pi:4", "angle 'nan' is not finite"),
+])
+def test_degenerate_angle_grid_exits_2(capsys, tmp_path, grid, message):
+    # pi/0 once ended in a ZeroDivisionError traceback, and inf and 1e400*pi
+    # printed a numpy warning from linspace before exiting 2.
+    out = tmp_path / "compton.csv"
+    with np.errstate(all="raise"):
+        code, stdout, err = run_main(capsys, "compton", "--rep", "gamma", "--m", "1",
+                                     "--omega1", "1", f"--theta-grid={grid}", "--out", str(out))
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_parse_angle_values():
+    assert cli.parse_angle("0.5") == 0.5
+    assert cli.parse_angle(" pi ") == math.pi
+    assert cli.parse_angle("2*pi") == math.pi * 2.0
+    assert cli.parse_angle("pi/4") == math.pi / 4.0
+    assert cli.parse_angle("-3*pi/2") == -(math.pi * 3.0 / 2.0)
+    assert cli.parse_angle("pi/inf") == 0.0
+
+
 def test_render_json_float_array_matches_recursive_rendering():
     values = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308, -1e308,
                        2.0, -7.0, 1e16, 1 / 3])
@@ -405,3 +436,55 @@ def test_overflowing_evolve_system_exits_2(tmp_path, mass):
     assert res.stderr == ("error: E^2 = m^2 + |p|^2 or k = Tr[H^2/2] is not finite: "
                           "the Hamiltonian H = i m beta + alpha.p overflows\n")
     assert res.stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("mass", ["1e6", "1e8", "1e154"])
+def test_frames_at_large_mass_fails_without_input_error(tmp_path, mass):
+    # Rounding at these scales once read as lost Hermiticity (an absolute
+    # 1e-10 test) or as a spectrum mismatch (an absolute 1e-8 test): exit 2.
+    out = tmp_path / "frames.json"
+    res = run_cli("frames", "--m", mass, "--px", "1", "--py", "1", "--pz", "1",
+                  "--t", "0.7", "--out", str(out))
+    assert (res.returncode, res.stdout, res.stderr) == (1, "frames: FAIL\n", "")
+    assert json.loads(out.read_text())["verdict"] == "FAIL"
+
+
+def test_frames_phase_overflow_exits_2(tmp_path):
+    # 2 E t overflows: this once printed four numpy warnings and then
+    # "evolved Hamiltonian lost Hermiticity".
+    out = tmp_path / "frames.json"
+    res = run_cli("frames", *MASS_MOMENTUM, "--t", "1e308", "--out", str(out))
+    assert res.returncode == 2
+    assert res.stderr == "error: 2 E t is not finite at E = 2, t = 1e+308\n"
+    assert res.stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("samples", [1, BLOCK_SAMPLES, BLOCK_SAMPLES + 1])
+def test_evolve_residual_columns_peak_at_conserved_residuals(capsys, monkeypatch, tmp_path,
+                                                             samples):
+    # evolve writes qbe.drifts per row; conserved_residuals takes the maxima
+    # of the same drifts per block.  An integration takes at least one step,
+    # so the trajectory is cut to its first `samples` rows.
+    integrate = qbe.integrate_qbe
+
+    def first_rows(sys_, t_end, step):
+        traj = integrate(sys_, t_end, step)
+        return replace(traj, times=traj.times[:samples], coeffs=traj.coeffs[:samples])
+
+    monkeypatch.setattr(qbe, "integrate_qbe", first_rows)
+    m, p, step = 0.7, (-1.5, 0.0, 2.25), 1e-3
+    t_end = max(samples - 1, 1) * step
+    out = tmp_path / "traj.csv"
+    code, _, _ = run_main(capsys, "evolve", f"--m={m}", f"--px={p[0]}", f"--py={p[1]}",
+                          f"--pz={p[2]}", f"--t-end={t_end!r}", f"--step={step}",
+                          "--out", str(out))
+    assert code == 0
+    header, *lines = out.read_text().splitlines()
+    assert header.split(",")[-4:] == ["res_isotropic", "res_cross_trace",
+                                      "res_total_square", "res_spectrum"]
+    columns = np.array([[float(x) for x in line.split(",")[-4:]] for line in lines])
+    assert columns.shape == (samples, 4)
+    sys_ = qbe.majorana_system(m, p)
+    report = qbe.conserved_residuals(first_rows(sys_, t_end, step), sys_)
+    assert list(columns.max(axis=0)) == [report["isotropic_drift"], report["cross_trace_drift"],
+                                         report["total_square_drift"], report["spectrum_drift"]]

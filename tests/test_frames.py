@@ -86,6 +86,22 @@ def test_squared_expectation_equality():
         assert abs(lhs - 4.0) < 1e-10
 
 
+@pytest.mark.parametrize("t", [1e308, np.float64(1e308), -1e308, np.inf, np.nan])
+def test_make_frame_case_rejects_overflowing_phase(t):
+    with np.errstate(over="raise", invalid="raise"), pytest.raises(FrameError, match="2 E t"):
+        make_frame_case([1.0, 0, 0, 0], t, 1.0, (1, 1, 1))
+
+
+@pytest.mark.parametrize("m", [1e6, 1e8, 1e154])
+def test_klein_gordon_at_large_mass_is_a_residual(m):
+    # H(t) is Hermitian up to rounding at every scale; this once raised
+    # FrameError("evolved Hamiltonian lost Hermiticity").  The relative
+    # residual stays at rounding level.
+    with np.errstate(over="raise", invalid="raise"):
+        kg = check_klein_gordon(m, (1, 1, 1), np.linspace(0.0, 0.7, 16))
+    assert kg / (m * m) < 1e-14
+
+
 def test_klein_gordon_residual():
     assert check_klein_gordon(1.0, (1, 1, 1), np.linspace(0, 2, 9)) < 1e-12
     assert check_klein_gordon(0.0, (0, 0, 0), [0.0, 1.0]) == 0

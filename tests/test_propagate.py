@@ -97,6 +97,19 @@ def test_evolve_rejects_wrong_spectrum():
         evolve_hamiltonian(frame, np.diag([5.0, 1.0, -1.0, -5.0]), 0.1)
 
 
+def test_evolve_spectrum_tolerance_scales_with_energy():
+    # At m = 1e8 eigvalsh is off by about 1.5e-8, above the old absolute 1e-8.
+    p = (1.0, 1.0, 1.0)
+    rep = build_majorana()
+    frame = majorana_eigenframe(1e8, p)
+    h_t = evolve_hamiltonian(frame, rep.hamiltonian(1e8, p), 0.7)
+    assert max_abs(h_t @ h_t - frame.energy ** 2 * np.eye(4)) / frame.energy ** 2 < 1e-14
+    with pytest.raises(PropagateError):
+        evolve_hamiltonian(frame, rep.hamiltonian(1.001e8, p), 0.7)  # mass 0.1 % off
+    with pytest.raises(PropagateError):
+        evolve_hamiltonian(majorana_eigenframe(1.0, p), rep.hamiltonian(1.0 + 1e-7, p), 0.7)
+
+
 @pytest.mark.parametrize("m,p", [(1e200, (1.0, 1.0, 1.0)), (np.float64(1e200), (0.0, 0.0, 0.0)),
                                  (1.0, (0.0, 1e155, 1e155))])
 def test_eigenframe_rejects_overflowing_energy(m, p):

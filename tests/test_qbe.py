@@ -22,6 +22,8 @@ from qbrach.qbe import (
     check_isotropic,
     complement_span,
     conserved_residuals,
+    drifts,
+    initial_invariants,
     integrate_qbe,
     majorana_system,
     _span_basis,
@@ -304,6 +306,36 @@ def test_majorana_flow_is_bit_exact(m, p, lam, step):
        step=st.sampled_from([1e-3, 1e-2, 5e-2]))
 def test_angmom_flow_is_bit_exact(n, l, f, step):
     _assert_bit_exact(angmom_system(toy_hamiltonian(n, l), f), step)
+
+
+def _evolve_drifts(traj, sys_, i):
+    """The four drifts of sample i by the arithmetic evolve once used for its
+    CSV columns, before it called drifts: the reference."""
+    a0 = traj.h_at(0) + traj.f_at(0)
+    h, f = traj.h_at(i), traj.f_at(i)
+    a = h + f
+    return [check_isotropic(h, sys_.k), abs(np.trace(h @ f)),
+            abs(np.trace(a @ a).real - np.trace(a0 @ a0).real),
+            max_abs(np.sort(np.linalg.eigvalsh(a)) - np.sort(np.linalg.eigvalsh(a0)))]
+
+
+@EXACTNESS
+@given(m=st.floats(0.0, 3.0), p=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+       lam=st.none() | st.tuples(*[UNIT] * 11), step=st.sampled_from([1e-3, 1e-2, 5e-2]))
+def test_stacked_drifts_equal_row_by_row(m, p, lam, step):
+    # evolve calls drifts once per sample and conserved_residuals once per
+    # block; both must see the same bits.
+    sys_ = majorana_system(m, p, lam)
+    traj = integrate_qbe(sys_, 300 * step, step)
+    invariants = initial_invariants(traj)
+    rows = np.array([drifts(traj.h_at(i), traj.f_at(i), sys_.k, *invariants)
+                     for i in range(len(traj.times))])
+    stacked = np.concatenate([np.stack(drifts(h, f, sys_.k, *invariants), axis=1)
+                              for _, h, f in traj.blocks()])
+    assert rows.shape == stacked.shape == (301, 4)
+    assert stacked.tobytes() == rows.tobytes()
+    for i in (0, 1, BLOCK_SAMPLES, 300):
+        assert rows[i].tobytes() == np.array(_evolve_drifts(traj, sys_, i)).tobytes()
 
 
 @pytest.mark.parametrize("sys_, step", [
