@@ -19,7 +19,7 @@ import numpy as np
 
 from . import angmom4, frames, propagate, qbe, scatter
 from .cliffrep import build_dirac, build_majorana, verify_algebra, verify_gamma_algebra
-from .matcore import anticommutator, kron_matrix, mat_to_json, max_abs, worst
+from .matcore import BLOCK_SAMPLES, anticommutator, kron_matrix, mat_to_json, max_abs, worst
 
 SCHEMA_VERSION = "1"
 OUT_DIR_ENV = "QBRACH_OUT_DIR"
@@ -82,11 +82,18 @@ def _resolve_out(path: str) -> str:
     return os.path.join(os.environ.get(OUT_DIR_ENV, "."), path)
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_csv(path: str, header: list[str], *columns: np.ndarray) -> None:
+    """Write float arrays of equal length side by side, a 1-D array as one
+    column and a 2-D array as several, with 17 significant digits.  Rows are
+    rendered and written one block of BLOCK_SAMPLES at a time, so memory
+    beyond the arrays stays bounded whatever their length."""
+    width = sum(1 if np.ndim(c) == 1 else np.shape(c)[1] for c in columns)
+    row = ",".join(["%.17g"] * width) + "\n"  # '%.17g' % x == format(x, ".17g")
     with open(_resolve_out(path), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(format(float(x), ".17g") for x in row) + "\n")
+        for lo in range(0, len(columns[0]), BLOCK_SAMPLES):
+            block = np.column_stack([c[lo:lo + BLOCK_SAMPLES] for c in columns])
+            fh.write("".join(row % tuple(values) for values in block.tolist()))
 
 
 def parse_angle(token: str) -> float:
@@ -194,15 +201,16 @@ def _cmd_evolve(args) -> int:
     traj = qbe.integrate_qbe(sys_, args.t_end, args.step)
 
     invariants = qbe.initial_invariants(traj)
-    rows = [[t, *traj.coeffs[i], *qbe.drifts(traj.h_at(i), traj.f_at(i), sys_.k, *invariants)]
-            for i, t in enumerate(traj.times)]
+    res = np.empty((len(traj.times), 4))
+    for i in range(len(res)):
+        res[i] = qbe.drifts(traj.h_at(i), traj.f_at(i), sys_.k, *invariants)
     header = (
         ["t"]
         + [f"c_{i}{j}" for i, j in traj.labels]
         + ["res_isotropic", "res_cross_trace", "res_total_square", "res_spectrum"]
     )
-    _write_csv(args.out, header, rows)
-    print(f"evolve: wrote {len(rows)} samples to {args.out}")
+    _write_csv(args.out, header, traj.times, traj.coeffs, res)
+    print(f"evolve: wrote {len(res)} samples to {args.out}")
     return 0
 
 
@@ -268,7 +276,7 @@ def _cmd_compton(args) -> int:
     res, worsts = _compton(args.m, args.omega1, thetas, rep)
     matrix_max = np.max([res[k] for k in COMPTON_KEYS[2:]], axis=0)
     _write_csv(args.out, ["theta", "omega2", "residual_energy", "residual_matrix_max"],
-               zip(thetas, res["omega2"], res["residual_energy"], matrix_max))
+               thetas, res["omega2"], res["residual_energy"], matrix_max)
     resid = worst(worsts)
     verdict = "PASS" if resid < 1e-12 else "FAIL"
     print(f"compton {args.rep}: {verdict} over {len(thetas)} angles (max residual {resid:.3g})")

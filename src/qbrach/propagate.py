@@ -116,12 +116,16 @@ def propagator(frame: EigenFrame) -> Callable[[float, float], np.ndarray]:
     """U(t, s) = W(t) W^-1(s) as a function u(t, s) of the two times.
 
     The bare exp(-i(t-s)D) carries the universal phase e^{-iE(t-s)}, giving
-    the diagonal matrix diag(e^{-2iE(t-s)}, e^{-2iE(t-s)}, 1, 1).
+    the diagonal matrix diag(e^{-2iE(t-s)}, e^{-2iE(t-s)}, 1, 1).  Raises
+    PropagateError when the phase angle 2E(t - s) is not finite.
     """
     energy = frame.energy
 
     def u(t: float, s: float) -> np.ndarray:
-        tau = t - s
+        tau = float(t) - float(s)  # Python floats: an overflow gives inf, not a warning
+        if not math.isfinite(2.0 * energy * tau):
+            raise PropagateError(f"2 E (t - s) is not finite at E = {energy:g}, "
+                                 f"t - s = {tau:g}")
         phases = np.exp(-1j * tau * np.diag(frame.d))
         return np.diag(np.exp(-1j * energy * tau) * phases)
 

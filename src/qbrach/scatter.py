@@ -18,12 +18,12 @@ Compton frequency-shift formula.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .cliffrep import build_gamma_scatter, build_majorana
-from .matcore import anticommutator, pauli
+from .matcore import BLOCK_SAMPLES, anticommutator, pauli
 
 _EYE4 = np.eye(4, dtype=complex)
 
@@ -116,7 +116,6 @@ def _entry_max(a: np.ndarray):
     return np.abs(a).max(axis=(-2, -1))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def verify_conservation(cfg: ScatterConfig) -> dict:
     """Scalar and matrix residuals of the scattering identities.
 
@@ -126,11 +125,23 @@ def verify_conservation(cfg: ScatterConfig) -> dict:
 
     One call covers every angle of cfg.theta: each value is an np.float64
     for one angle and an array over the angles for many, equal bit for bit
-    to the per-angle values.
+    to the per-angle values.  A grid is checked in blocks of BLOCK_SAMPLES
+    angles, so its (k, 4, 4) stacks stay bounded whatever its length.
 
     Inputs too large for float64 give inf or NaN residuals, which fail any
     `< tol` verdict; numpy does not warn about the overflow.
     """
+    theta = np.asarray(cfg.theta, dtype=float)
+    if theta.size <= BLOCK_SAMPLES:
+        return _residuals(cfg)
+    blocks = [_residuals(replace(cfg, theta=theta[lo:lo + BLOCK_SAMPLES]))
+              for lo in range(0, theta.size, BLOCK_SAMPLES)]
+    return {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _residuals(cfg: ScatterConfig) -> dict:
+    """verify_conservation's values over all of cfg.theta at once."""
     kinematics = recoil_kinematics(cfg)
     p1, p2, q1, q2 = _momenta(cfg, kinematics)
     w2, e2, p2mag, _ = kinematics

@@ -10,6 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qbrach import cli, qbe
 from qbrach.matcore import BLOCK_SAMPLES
@@ -488,3 +491,58 @@ def test_evolve_residual_columns_peak_at_conserved_residuals(capsys, monkeypatch
     report = qbe.conserved_residuals(first_rows(sys_, t_end, step), sys_)
     assert list(columns.max(axis=0)) == [report["isotropic_drift"], report["cross_trace_drift"],
                                          report["total_square_drift"], report["spectrum_drift"]]
+
+
+def _reference_write_csv(path, header, rows) -> None:
+    """The CSV writer as it was before it took float arrays: one format call
+    per value; kept as the reference for the bytes of cli._write_csv."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(format(float(x), ".17g") for x in row) + "\n")
+
+
+# Signed zeros, infinities, NaN, the smallest subnormals and values near the
+# float64 limit, mixed with any other float.
+_CSV_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                     2.2250738585072009e-308, 1.7e308, -1.7e308, 1.7976931348623157e308]),
+    st.floats(),
+)
+
+
+@pytest.mark.parametrize("rows", [1, BLOCK_SAMPLES, BLOCK_SAMPLES + 1])
+def test_write_csv_matches_per_value_loop(tmp_path_factory, rows):
+    folder = tmp_path_factory.mktemp("csv")
+
+    @settings(max_examples=25)
+    @given(hnp.arrays(np.float64, rows, elements=_CSV_FLOATS),
+           hnp.arrays(np.float64, (rows, 3), elements=_CSV_FLOATS))
+    def check(one, many):
+        header = ["a", "b", "c", "d"]
+        cli._write_csv(str(folder / "new.csv"), header, one, many)
+        _reference_write_csv(folder / "old.csv", header, np.column_stack([one, many]))
+        assert (folder / "new.csv").read_bytes() == (folder / "old.csv").read_bytes()
+
+    check()
+
+
+def test_evolve_memory_grows_by_under_250_bytes_per_sample(capsys, tmp_path, traced_peak):
+    # The trajectory takes 128 B per sample and the drift columns 32 B; the
+    # CSV rows are rendered per block, so no per-row objects accumulate.
+    def peak(samples):
+        return traced_peak(["evolve", "--m=1.3", "--px=0.5", "--py=-2.0", "--pz=1.25",
+                            f"--t-end={samples - 1}e-3", "--step=1e-3",
+                            "--out", str(tmp_path / "traj.csv")])
+
+    assert (peak(20_001) - peak(2_001)) / 18_000 < 250
+
+
+def test_compton_memory_grows_by_under_150_bytes_per_angle(capsys, tmp_path, traced_peak):
+    # The grid is checked per block of BLOCK_SAMPLES angles: only a few
+    # floats per angle outlive a block, not its (k, 4, 4) stacks.
+    def peak(angles):
+        return traced_peak(["compton", "--rep", "gamma", "--m", "1.3", "--omega1", "0.7",
+                            "--theta-grid", f"0:pi:{angles}", "--out", str(tmp_path / "c.csv")])
+
+    assert (peak(10_000) - peak(1_000)) / 9_000 < 150

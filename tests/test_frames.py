@@ -11,6 +11,7 @@ from qbrach.frames import (
     expectation,
     make_frame_case,
 )
+from qbrach.propagate import PropagateError
 
 
 def test_expectation_identity_state():
@@ -90,6 +91,12 @@ def test_squared_expectation_equality():
 def test_make_frame_case_rejects_overflowing_phase(t):
     with np.errstate(over="raise", invalid="raise"), pytest.raises(FrameError, match="2 E t"):
         make_frame_case([1.0, 0, 0, 0], t, 1.0, (1, 1, 1))
+
+
+@pytest.mark.parametrize("t", [1e308, -1e308, np.inf])
+def test_klein_gordon_rejects_overflowing_phase(t):
+    with np.errstate(all="raise"), pytest.raises(PropagateError, match=r"2 E \(t - s\)"):
+        check_klein_gordon(1.0, (1, 1, 1), [0.0, t])
 
 
 @pytest.mark.parametrize("m", [1e6, 1e8, 1e154])

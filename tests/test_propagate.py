@@ -57,6 +57,39 @@ def test_propagator_is_phased_diagonal():
         assert max_abs(u(t, s) - np.diag([ph, ph, 1, 1])) < 1e-12
 
 
+def _reference_u(frame, t, s):
+    """u(t, s) as it was before it checked 2E(t - s); kept as the reference
+    for its bits."""
+    tau = t - s
+    phases = np.exp(-1j * tau * np.diag(frame.d))
+    return np.diag(np.exp(-1j * frame.energy * tau) * phases)
+
+
+def test_propagator_bits_are_unchanged_by_the_phase_check():
+    rng = np.random.default_rng(37)
+    for _ in range(50):
+        m, p = _random_mp(rng)
+        frame = majorana_eigenframe(m, p)
+        t, s = rng.uniform(-3, 3, 2)
+        for args in ((t, s), (float(t), float(s)), (t, 0.0), (0.0, s)):
+            assert propagator(frame)(*args).tobytes() == _reference_u(frame, *args).tobytes()
+
+
+@pytest.mark.parametrize("t,s", [(1e308, 0.0), (np.float64(1e308), 0.0), (-1e308, 0.0),
+                                 (1e308, -1e308), (0.0, np.inf), (np.nan, 0.0)])
+def test_propagator_rejects_non_finite_phase(t, s):
+    # 2E(t - s) is computed from Python floats, so the check itself cannot
+    # warn under np.errstate(all="raise").
+    frame = majorana_eigenframe(1.0, (1.0, 1.0, 1.0))
+    h0 = build_majorana().hamiltonian(1.0, (1.0, 1.0, 1.0))
+    with np.errstate(all="raise"):
+        with pytest.raises(PropagateError, match=r"2 E \(t - s\) is not finite"):
+            propagator(frame)(t, s)
+        if s == 0.0:
+            with pytest.raises(PropagateError, match=r"2 E \(t - s\) is not finite"):
+                evolve_hamiltonian(frame, h0, t)
+
+
 def test_propagator_group_laws():
     rng = np.random.default_rng(31)
     frame = majorana_eigenframe(0.5, (0.3, -1.2, 0.7))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qbrach.cliffrep import build_gamma_scatter, build_majorana
-from qbrach.matcore import anticommutator, commutator, max_abs
+from qbrach.matcore import BLOCK_SAMPLES, anticommutator, commutator, max_abs
 from qbrach.scatter import (
     ScatterConfig,
     ScatterError,
@@ -86,7 +86,8 @@ def _per_angle(m, w1, th, rep):
     }
 
 
-@pytest.mark.parametrize("n", [1, 2, 16, 64, 1000])
+@pytest.mark.parametrize("n", [1, 2, 16, 64, BLOCK_SAMPLES - 1, BLOCK_SAMPLES,
+                               BLOCK_SAMPLES + 1, 1000])
 @pytest.mark.parametrize("rep", ["gamma_scatter", "majorana"])
 def test_compton_grid_equals_per_angle_loop(rep, n):
     rng = np.random.default_rng(n)
