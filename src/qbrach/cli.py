@@ -19,7 +19,8 @@ import numpy as np
 
 from . import angmom4, frames, propagate, qbe, scatter
 from .cliffrep import build_dirac, build_majorana, verify_algebra, verify_gamma_algebra
-from .matcore import BLOCK_SAMPLES, anticommutator, kron_matrix, mat_to_json, max_abs, worst
+from .matcore import (BLOCK_SAMPLES, MAX_SAMPLES, anticommutator, kron_matrix, mat_to_json,
+                      max_abs, worst)
 
 SCHEMA_VERSION = "1"
 OUT_DIR_ENV = "QBRACH_OUT_DIR"
@@ -82,6 +83,15 @@ def _resolve_out(path: str) -> str:
     return os.path.join(os.environ.get(OUT_DIR_ENV, "."), path)
 
 
+def _check_out_dir(path: str) -> None:
+    """Raise if the directory that `path` resolves into does not exist, so a
+    command fails before its work.  The file itself is created only when the
+    report is written, so a run that fails later leaves none behind."""
+    folder = os.path.dirname(_resolve_out(path)) or "."
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(f"output directory {folder!r} does not exist")
+
+
 def _write_csv(path: str, header: list[str], *columns: np.ndarray) -> None:
     """Write float arrays of equal length side by side, a 1-D array as one
     column and a 2-D array as several, with 17 significant digits.  Rows are
@@ -115,6 +125,14 @@ def parse_angle(token: str) -> float:
     return value
 
 
+def _sample_grid(start: float, end: float, count: int) -> np.ndarray:
+    """np.linspace(start, end, count), refused above MAX_SAMPLES before any
+    allocation."""
+    if count > MAX_SAMPLES:
+        raise ValueError(f"grid count {count} exceeds the cap of {MAX_SAMPLES} samples")
+    return np.linspace(start, end, count)
+
+
 def parse_grid(spec: str) -> np.ndarray:
     """'start:end:count' with end-inclusive sampling; pi literals allowed."""
     parts = spec.split(":")
@@ -124,7 +142,7 @@ def parse_grid(spec: str) -> np.ndarray:
     count = int(parts[2])
     if count < 2:
         raise ValueError("grid count must be at least 2")
-    return np.linspace(start, end, count)
+    return _sample_grid(start, end, count)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +233,7 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_classify_mass(args) -> int:
-    t_grid = np.linspace(0.0, args.t_end, args.samples)
+    t_grid = _sample_grid(0.0, args.t_end, args.samples)
     report = propagate.classify_mass(_spinor_rep(args.rep), args.m,
                                      (args.px, args.py, args.pz), t_grid)
     payload = {
@@ -563,6 +581,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out:
+            _check_out_dir(args.out)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,6 +16,10 @@ DEFAULT_TOL = 1e-10
 # bounds the memory of an audit or a classification whatever the series length.
 BLOCK_SAMPLES = 256
 
+# Most samples a time or angle grid may hold.  A grid is allocated whole
+# before it is processed block by block, so its length must be bounded.
+MAX_SAMPLES = 1_000_000
+
 PAULI_INDICES = ("1", "x", "y", "z")
 
 _PAULI = {
@@ -77,7 +81,7 @@ def basis16() -> list[tuple[tuple[str, str], np.ndarray]]:
 
 def traceless_labels() -> list[tuple[str, str]]:
     """The 15 Kronecker labels excluding the identity ('1', '1')."""
-    return [lab for lab, _ in basis16() if lab != ("1", "1")]
+    return [lab for lab in _KRON if lab != ("1", "1")]
 
 
 def kron_matrix(label: tuple[str, str]) -> np.ndarray:

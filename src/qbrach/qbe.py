@@ -242,6 +242,9 @@ def integrate_qbe(sys: BrachSystem, t_end: float, step: float) -> Trajectory:
     lab, col, row = np.nonzero(ys.transpose(0, 2, 1))  # ordered by (lab, col)
     pos = (4 * col + row).reshape(-1, 4).T
     phase = (-1j * ys[lab, row, col]).reshape(-1, 4).T
+    # take(mode="clip") skips the buffered copy of out that "raise" makes,
+    # and clips nothing while every index lies in the 16 entries of [H, F].
+    assert 0 <= pos.min() and pos.max() < 16
 
     # The workspace of one step, allocated once: every operation below
     # writes into it, and each step's new coefficients go straight into out.
@@ -257,16 +260,18 @@ def integrate_qbe(sys: BrachSystem, t_end: float, step: float) -> Trajectory:
     k23 = ks[1:3]
     stage = np.empty(len(labels))  # the argument of k2..k4, then the increment
 
-    def rhs(c: np.ndarray, k: np.ndarray) -> None:
-        np.dot(c, basis, out=hf_flat)
-        np.matmul(hf, fh, out=products)
-        np.subtract(hf_prod, fh_prod, out=comm)
-        comm.take(pos, out=terms)
-        np.multiply(terms, phase, out=terms)
-        np.add.reduce(terms_real, axis=0, out=k)
-        np.divide(k, 4.0, out=k)
+    # Every scalar operand is a 0-d array built here, once: numpy converts a
+    # Python float operand to an array on every call.  The values are those
+    # of the float arithmetic 0.5 * step, step / 6.0, 4.0 and 2.
+    half, whole, sixth, four, two = map(np.array, (0.5 * step, step, step / 6.0, 4.0, 2.0))
+    # (k, scale): stage s writes k_s and then the argument of stage s + 1,
+    # c + scale k_s; stage 4 has no next stage.
+    stages = ((k1, half), (k2, half), (k3, whole), (k4, None))
+    # The ufuncs as locals; ndarray.dot is np.dot without its dispatcher.
+    dot, matmul, take = np.ndarray.dot, np.matmul, comm.take
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    add_reduce = np.add.reduce
 
-    half, sixth = 0.5 * step, step / 6.0
     times = np.arange(n + 1) * step
     out = np.empty((n + 1, len(labels)))
     out[0] = c0
@@ -277,19 +282,23 @@ def integrate_qbe(sys: BrachSystem, t_end: float, step: float) -> Trajectory:
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(1, n + 1, BLOCK_SAMPLES):
             hi = min(lo + BLOCK_SAMPLES, n + 1)
-            for i in range(lo, hi):
-                c = out[i - 1]
-                rhs(c, k1)
-                np.add(c, np.multiply(k1, half, out=stage), out=stage)
-                rhs(stage, k2)
-                np.add(c, np.multiply(k2, half, out=stage), out=stage)
-                rhs(stage, k3)
-                np.add(c, np.multiply(k3, step, out=stage), out=stage)
-                rhs(stage, k4)
+            for c, new in zip(out[lo - 1:hi - 1], out[lo:hi]):
+                arg = c
+                for k, scale in stages:
+                    dot(arg, basis, hf_flat)
+                    matmul(hf, fh, out=products)
+                    subtract(hf_prod, fh_prod, out=comm)
+                    take(pos, out=terms, mode="clip")
+                    multiply(terms, phase, out=terms)
+                    add_reduce(terms_real, axis=0, out=k)
+                    divide(k, four, out=k)
+                    if scale is not None:
+                        add(c, multiply(k, scale, out=stage), out=stage)
+                        arg = stage
                 # ((k1 + 2 k2) + 2 k3) + k4, added in this order
-                np.multiply(k23, 2, out=k23)
-                np.add.reduce(ks, axis=0, out=stage)
-                np.add(c, np.multiply(stage, sixth, out=stage), out=out[i])
+                multiply(k23, two, out=k23)
+                add_reduce(ks, axis=0, out=stage)
+                add(c, multiply(stage, sixth, out=stage), out=new)
             bad = ~np.isfinite(out[lo:hi]).all(axis=1)
             if bad.any():
                 raise DivergenceError(f"non-finite coefficients at t = {times[lo + bad.argmax()]}")

@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qbrach import cli, qbe
-from qbrach.matcore import BLOCK_SAMPLES
+from qbrach import angmom4, cli, qbe
+from qbrach.matcore import BLOCK_SAMPLES, MAX_SAMPLES
 
 CLI = [sys.executable, "-m", "qbrach.cli"]
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "report-all-seed7.json"
@@ -221,6 +221,52 @@ VALID_FLOAT_ARGS = {
     "compton": ["--rep", "gamma", "--m", "1", "--omega1", "1"],
     "frames": [*MASS_MOMENTUM, "--t", "0.7"],
 }
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", *MASS_MOMENTUM, "--t-end", "1", "--step", "1e-3"],
+    ["angmom-conserve"],
+    ["report-all"],
+], ids=["evolve", "angmom-conserve", "report-all"])
+@pytest.mark.parametrize("via_env", [False, True], ids=["path", "env"])
+def test_missing_out_dir_exits_2_before_any_work(capsys, monkeypatch, tmp_path, argv, via_env):
+    # evolve once ran its whole integration, and report-all its first checks,
+    # before failing to open the file.
+    def never(*_):
+        raise AssertionError("integrated before checking the output directory")
+
+    monkeypatch.setattr(qbe, "integrate_qbe", never)
+    monkeypatch.setattr(angmom4, "integrate_qbe", never)
+    missing = tmp_path / "missing"
+    out = str(missing / "r.out")
+    if via_env:
+        monkeypatch.setenv(cli.OUT_DIR_ENV, str(missing))
+        out = "r.out"
+    code, stdout, err = run_main(capsys, *argv, "--out", out)
+    assert (code, stdout) == (2, "")
+    assert err == f"error: output directory {str(missing)!r} does not exist\n"
+    assert not missing.exists()
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("compton", ["--rep", "gamma", "--m", "1", "--omega1", "1",
+                 f"--theta-grid=0:pi:{MAX_SAMPLES + 1}"]),
+    ("classify-mass", ["--rep", "majorana", *MASS_MOMENTUM, "--samples", str(MAX_SAMPLES + 1)]),
+])
+def test_grid_count_above_cap_exits_2(capsys, monkeypatch, tmp_path, command, argv):
+    # Nothing once bounded the count before linspace allocated the grid.
+    assert len(cli._sample_grid(0.0, 1.0, MAX_SAMPLES)) == MAX_SAMPLES
+
+    def never(*_):
+        raise AssertionError("allocated a grid above the cap")
+
+    monkeypatch.setattr(np, "linspace", never)
+    out = tmp_path / "out"
+    code, stdout, err = run_main(capsys, command, *argv, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == (f"error: grid count {MAX_SAMPLES + 1} exceeds the cap of "
+                   f"{MAX_SAMPLES} samples\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,option,value", [

@@ -47,6 +47,7 @@ def test_traceless_labels_excludes_identity():
     labels = traceless_labels()
     assert len(labels) == 15
     assert ("1", "1") not in labels
+    assert labels == [lab for lab, _ in basis16() if lab != ("1", "1")]  # the same order
 
 
 def test_kron_matrix_matches_explicit_kron():

@@ -308,6 +308,23 @@ def test_angmom_flow_is_bit_exact(n, l, f, step):
     _assert_bit_exact(angmom_system(toy_hamiltonian(n, l), f), step)
 
 
+_MAJORANA = st.builds(majorana_system, st.floats(0.0, 3.0), st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+                      st.tuples(*[UNIT] * 11))
+_ANGMOM = st.builds(lambda n, l, f: angmom_system(toy_hamiltonian(n, l), f),
+                    st.tuples(*[UNIT] * 3), st.tuples(*[UNIT] * 3), st.tuples(*[UNIT] * 9))
+
+
+@EXACTNESS
+@given(sys_=st.one_of(_MAJORANA, _ANGMOM), step=st.floats(1e-4, 5e-2))
+def test_flow_is_bit_exact_at_any_step(sys_, step):
+    # The step operands are arrays built once per integration; each must
+    # hold the value of the float arithmetic 0.5 * step, step and step / 6.0
+    # for a step of any rounding, not only the round ones sampled above.
+    steps = BLOCK_SAMPLES + 44
+    traj = integrate_qbe(sys_, steps * step, step)
+    assert traj.coeffs.tobytes() == _reference_coeffs(sys_, step, steps).tobytes()
+
+
 def _evolve_drifts(traj, sys_, i):
     """The four drifts of sample i by the arithmetic evolve once used for its
     CSV columns, before it called drifts: the reference."""
