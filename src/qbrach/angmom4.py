@@ -9,7 +9,7 @@ metric signature (+, -, -, -).
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -106,20 +106,11 @@ def block_propagator(n_x: float, l_yz: float, t: float) -> np.ndarray:
     )
 
 
-def _levi_civita() -> np.ndarray:
-    eps = np.zeros((4, 4, 4, 4))
-    for perm in permutations(range(4)):
-        sign = 1
-        q = list(perm)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if q[i] > q[j]:
-                    sign = -sign
-        eps[perm] = sign
-    return eps
-
-
-_EPS4 = _levi_civita()
+# eps_{abcd}: the parity of (a, b, c, d) as a permutation of (0, 1, 2, 3),
+# counted by its inversions; 0 when an index repeats.
+_EPS4 = np.zeros((4, 4, 4, 4))
+for _perm in permutations(range(4)):
+    _EPS4[_perm] = (-1) ** sum(a > b for a, b in combinations(_perm, 2))
 
 
 def pauli_lubanski(n, l, p) -> np.ndarray:

@@ -54,8 +54,6 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         x = float(obj)  # a non-finite value becomes the string "nan", "inf" or "-inf"
         return format(x, ".17g") if math.isfinite(x) else f'"{x}"'
-    if isinstance(obj, complex):
-        return render_json({"re": obj.real, "im": obj.imag}, indent)
     if isinstance(obj, np.ndarray):
         if obj.ndim == 1 and obj.dtype.kind == "f" and obj.size:
             return _render_floats(obj, indent)
@@ -84,10 +82,13 @@ def _resolve_out(path: str) -> str:
 
 
 def _check_out_dir(path: str) -> None:
-    """Raise if the directory that `path` resolves into does not exist, so a
-    command fails before its work.  The file itself is created only when the
-    report is written, so a run that fails later leaves none behind."""
-    folder = os.path.dirname(_resolve_out(path)) or "."
+    """Raise if `path` resolves to a directory, or into a directory that does
+    not exist, so a command fails before its work.  The file itself is created
+    only when the report is written, so a run that fails later leaves none behind."""
+    target = _resolve_out(path)
+    if os.path.isdir(target):
+        raise IsADirectoryError(f"output path {target!r} is a directory")
+    folder = os.path.dirname(target) or "."
     if not os.path.isdir(folder):
         raise FileNotFoundError(f"output directory {folder!r} does not exist")
 

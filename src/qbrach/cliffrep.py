@@ -33,24 +33,20 @@ class SpinorRep:
     alpha: tuple[np.ndarray, np.ndarray, np.ndarray]
     gamma0: np.ndarray = field(init=False)
     spin: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False)
+    # Hermitian generator multiplying the mass in H = m*g + alpha.p.
+    mass_gen: np.ndarray = field(init=False)
 
     def __post_init__(self):
         ax, ay, az = self.alpha
-        object.__setattr__(self, "gamma0", self.beta @ ax @ ay @ az)
+        b = self.beta
+        object.__setattr__(self, "mass_gen", b if max_abs(b - b.conj().T) < 1e-14 else 1j * b)
+        object.__setattr__(self, "gamma0", b @ ax @ ay @ az)
         spin = (
             0.5 * commutator(ay, az),
             0.5 * commutator(az, ax),
             0.5 * commutator(ax, ay),
         )
         object.__setattr__(self, "spin", spin)
-
-    @property
-    def mass_gen(self) -> np.ndarray:
-        """Hermitian generator multiplying the mass in H = m*g + alpha.p."""
-        b = self.beta
-        if max_abs(b - b.conj().T) < 1e-14:
-            return b
-        return 1j * b
 
     def hamiltonian(self, m: float, p: np.ndarray) -> np.ndarray:
         """H = m * mass_gen + alpha . p (Hermitian by construction)."""
@@ -98,8 +94,15 @@ def build_gamma_scatter() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     return (gt,) + gs
 
 
-# Relations verified by verify_algebra, keyed by report name.
-_ALPHA_NAMES = ("alpha_x", "alpha_y", "alpha_z")
+def _clifford_residuals(gens) -> dict[str, float]:
+    """square_* and anticom_*_* residuals of a list of (name, matrix) pairs:
+    each should square to the identity and anticommute with every other."""
+    report: dict[str, float] = {}
+    for i, (na, a) in enumerate(gens):
+        report[f"square_{na}"] = max_abs(a @ a - _EYE4)
+        for nb, b in gens[i + 1 :]:
+            report[f"anticom_{na}_{nb}"] = max_abs(anticommutator(a, b))
+    return report
 
 
 def verify_algebra(rep: SpinorRep) -> dict[str, float]:
@@ -107,16 +110,8 @@ def verify_algebra(rep: SpinorRep) -> dict[str, float]:
 
     All residuals are exactly 0 for the built-in integer representations.
     """
-    ax, ay, az = rep.alpha
-    g = rep.mass_gen
-    report: dict[str, float] = {}
-
-    gens = [("mass_gen", g)] + list(zip(_ALPHA_NAMES, rep.alpha))
-    for i, (na, a) in enumerate(gens):
-        report[f"square_{na}"] = max_abs(a @ a - _EYE4)
-        for nb, b in gens[i + 1 :]:
-            report[f"anticom_{na}_{nb}"] = max_abs(anticommutator(a, b))
-
+    gens = [("mass_gen", rep.mass_gen)] + list(zip(("alpha_x", "alpha_y", "alpha_z"), rep.alpha))
+    report = _clifford_residuals(gens)
     for na, a in gens:
         report[f"anticom_gamma0_{na}"] = max_abs(anticommutator(rep.gamma0, a))
 
@@ -134,13 +129,7 @@ def verify_algebra(rep: SpinorRep) -> dict[str, float]:
 def verify_gamma_algebra() -> dict[str, float]:
     """Max-abs residual per relation for the scattering gamma set."""
     names = ("gamma_t", "gamma_x", "gamma_y", "gamma_z")
-    gammas = build_gamma_scatter()
-    report: dict[str, float] = {}
-    for i, (na, a) in enumerate(zip(names, gammas)):
-        report[f"square_{na}"] = max_abs(a @ a - _EYE4)
-        for nb, b in zip(names[i + 1 :], gammas[i + 1 :]):
-            report[f"anticom_{na}_{nb}"] = max_abs(anticommutator(a, b))
-    return report
+    return _clifford_residuals(list(zip(names, build_gamma_scatter())))
 
 
 def kron_decomposition_residual() -> float:

@@ -9,9 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# Default absolute comparison tolerance for floating-point checks.
-DEFAULT_TOL = 1e-10
-
 # Samples per block when a time series of matrices is built as one stack:
 # bounds the memory of an audit or a classification whatever the series length.
 BLOCK_SAMPLES = 256
@@ -90,10 +87,6 @@ def kron_matrix(label: tuple[str, str]) -> np.ndarray:
     if (i, j) not in _KRON:
         raise MatrixError(f"unknown Kronecker label {label!r}")
     return _KRON[i, j].copy()
-
-
-def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    return bool(np.abs(a - a.conj().T).max() < tol)
 
 
 def phase_stack(vals, times) -> np.ndarray:

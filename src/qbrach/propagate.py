@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cliffrep import SpinorRep
+from .cliffrep import SpinorRep, build_majorana
 from .matcore import BLOCK_SAMPLES, basis16, max_abs, phase_stack
 
 DEGENERACY_THRESHOLD = 1e-12
@@ -98,8 +98,6 @@ def majorana_eigenframe(m: float, p) -> EigenFrame:
 
 
 def _pivoted_frame(m: float, p, energy: float, d: np.ndarray) -> EigenFrame:
-    from .cliffrep import build_majorana
-
     h = build_majorana().hamiltonian(m, p)
     vals, vecs = np.linalg.eigh(h)
     order = np.argsort(-vals)  # (E, E, -E, -E)

@@ -64,10 +64,7 @@ def assemble_constraint(f_span: list[Label], lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (len(f_span),):
         raise QbeError(f"expected {len(f_span)} coefficients, got {lam.shape}")
-    f = np.zeros((4, 4), dtype=complex)
-    for c, lab in zip(lam, f_span):
-        f = f + c * kron_matrix(lab)
-    return f
+    return np.dot(lam, _span_basis(tuple(f_span))).reshape(4, 4)
 
 
 def trace_project_rhs(h: np.ndarray, f: np.ndarray, g: np.ndarray) -> complex:
@@ -229,8 +226,8 @@ def integrate_qbe(sys: BrachSystem, t_end: float, step: float) -> Trajectory:
     basis.imag = masks.T[:, :, None] * flat.imag[:, None, :]
     basis = basis.reshape(len(labels), 32)
 
-    c0 = np.array([trace_pair(sys.h0 + sys.f0(), kron_matrix(lab)).real / 4.0
-                   for lab in labels])
+    a0 = sys.h0 + sys.f0()
+    c0 = np.array([trace_pair(a0, kron_matrix(lab)).real / 4.0 for lab in labels])
 
     # Tr[-i [H, F] Y_a] / 4 as a gather.  Each basis matrix Y_a has one
     # nonzero entry per column: term col of coefficient a is [H, F][col, row]

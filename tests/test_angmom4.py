@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -147,6 +148,31 @@ def test_block_propagator_is_flow_of_flipped_tensor():
     vals, vecs = np.linalg.eigh(1j * m)
     rot = (vecs @ np.diag(np.exp(-1j * t * vals)) @ vecs.conj().T).real
     assert max_abs(block_propagator(nx, lyz, t) - rot) < 1e-12
+
+
+def _reference_levi_civita():
+    """eps_{abcd} as it was built: the sign flipped once per swap-needing pair."""
+    eps = np.zeros((4, 4, 4, 4))
+    for perm in permutations(range(4)):
+        sign = 1
+        q = list(perm)
+        for i in range(4):
+            for j in range(i + 1, 4):
+                if q[i] > q[j]:
+                    sign = -sign
+        eps[perm] = sign
+    return eps
+
+
+def test_levi_civita():
+    eps = angmom4._EPS4
+    assert eps.tobytes() == _reference_levi_civita().tobytes()
+    assert eps[0, 1, 2, 3] == 1.0 and eps[1, 0, 2, 3] == -1.0
+    assert np.count_nonzero(eps == 1.0) == np.count_nonzero(eps == -1.0) == 12
+    assert np.count_nonzero(eps) == 24
+    # Antisymmetric under every transposition of two indices.
+    for axes in ((1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2), (3, 1, 2, 0)):
+        assert (eps.transpose(axes) == -eps).all()
 
 
 def test_pauli_lubanski_orthogonal_to_momentum():

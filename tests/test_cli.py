@@ -228,24 +228,39 @@ VALID_FLOAT_ARGS = {
     ["angmom-conserve"],
     ["report-all"],
 ], ids=["evolve", "angmom-conserve", "report-all"])
-@pytest.mark.parametrize("via_env", [False, True], ids=["path", "env"])
-def test_missing_out_dir_exits_2_before_any_work(capsys, monkeypatch, tmp_path, argv, via_env):
+@pytest.mark.parametrize("via_env, is_dir", [(False, False), (True, False), (False, True),
+                                             (True, True)],
+                         ids=["path", "env", "dir-path", "dir-env"])
+def test_missing_out_dir_exits_2_before_any_work(capsys, monkeypatch, tmp_path, argv, via_env,
+                                                 is_dir):
     # evolve once ran its whole integration, and report-all its first checks,
-    # before failing to open the file.
+    # before failing to open the file: in a missing directory, or (is_dir)
+    # when --out named an existing directory.
     def never(*_):
-        raise AssertionError("integrated before checking the output directory")
+        raise AssertionError("integrated before checking the output path")
 
     monkeypatch.setattr(qbe, "integrate_qbe", never)
     monkeypatch.setattr(angmom4, "integrate_qbe", never)
-    missing = tmp_path / "missing"
-    out = str(missing / "r.out")
-    if via_env:
-        monkeypatch.setenv(cli.OUT_DIR_ENV, str(missing))
-        out = "r.out"
+    folder = tmp_path / "folder"
+    if is_dir:
+        folder.mkdir()
+        (folder / "kept.txt").write_text("kept")
+        out, expected = str(folder), f"output path {str(folder)!r} is a directory"
+        if via_env:
+            monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path))
+            out = "folder"
+    else:
+        out, expected = str(folder / "r.out"), f"output directory {str(folder)!r} does not exist"
+        if via_env:
+            monkeypatch.setenv(cli.OUT_DIR_ENV, str(folder))
+            out = "r.out"
     code, stdout, err = run_main(capsys, *argv, "--out", out)
     assert (code, stdout) == (2, "")
-    assert err == f"error: output directory {str(missing)!r} does not exist\n"
-    assert not missing.exists()
+    assert err == f"error: {expected}\n"
+    if is_dir:
+        assert [(f.name, f.read_text()) for f in folder.iterdir()] == [("kept.txt", "kept")]
+    else:
+        assert not folder.exists()
 
 
 @pytest.mark.parametrize("command, argv", [

@@ -8,7 +8,6 @@ from qbrach.matcore import (
     anticommutator,
     basis16,
     commutator,
-    is_hermitian,
     kron_matrix,
     mat_to_json,
     max_abs,
@@ -67,11 +66,6 @@ def test_commutator_anticommutator():
     assert max_abs(commutator(a, b) + commutator(b, a)) < 1e-14
     assert max_abs(anticommutator(a, b) - anticommutator(b, a)) < 1e-14
     assert max_abs(commutator(a, b) + anticommutator(a, b) - 2 * a @ b) < 1e-13
-
-
-def test_hermitian_predicate():
-    assert is_hermitian(kron_matrix(("x", "y")))
-    assert not is_hermitian(np.diag([1j, 0, 0, 0]))
 
 
 def test_json_round_trip():

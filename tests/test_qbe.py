@@ -106,6 +106,29 @@ def test_assemble_constraint_shape_check():
         assemble_constraint([("z", "1")], np.zeros(2))
 
 
+def _reference_constraint(f_span, lam):
+    """assemble_constraint as it was: one matrix added per label."""
+    f = np.zeros((4, 4), dtype=complex)
+    for c, lab in zip(np.asarray(lam, dtype=float), f_span):
+        f = f + c * kron_matrix(lab)
+    return f
+
+
+# Coefficients up to 1e8 in magnitude, with the signed zeros and subnormals
+# that a product could round or sign differently from the loop drawn explicitly.
+WIDE = st.floats(-1e8, 1e8) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320])
+
+
+@pytest.mark.parametrize("h_span", [MAJORANA_H_SPAN, IMAG_LABELS], ids=["majorana", "angmom"])
+@settings(max_examples=300)
+@given(data=st.data())
+def test_assemble_constraint_equals_per_label_loop(h_span, data):
+    f_span = complement_span(h_span)
+    lam = data.draw(st.lists(WIDE, min_size=len(f_span), max_size=len(f_span)))
+    f = assemble_constraint(f_span, lam)
+    assert f.tobytes() == _reference_constraint(f_span, lam).tobytes()
+
+
 def test_trace_projection_closed_form():
     """Tr[[H,F] a_x] = 8i(lam_{1y} p_z + lam_{xz} m + lam_{yz} p_y):
     exactly three complement labels couple, all others give zero."""
@@ -258,8 +281,8 @@ def _einsum_rhs(sys_):
 
 def _reference_coeffs(sys_, step, n):
     rhs = _einsum_rhs(sys_)
-    c = np.array([trace_pair(sys_.h0 + sys_.f0(), kron_matrix(lab)).real / 4.0
-                  for lab in traceless_labels()])
+    a0 = sys_.h0 + _reference_constraint(sys_.f_span, sys_.lambda0)
+    c = np.array([trace_pair(a0, kron_matrix(lab)).real / 4.0 for lab in traceless_labels()])
     out = [c]
     for _ in range(n):
         k1 = rhs(c)
