@@ -221,8 +221,11 @@ def _cmd_evolve(args) -> int:
 
     invariants = qbe.initial_invariants(traj)
     res = np.empty((len(traj.times), 4))
-    for i in range(len(res)):
-        res[i] = qbe.drifts(traj.h_at(i), traj.f_at(i), sys_.k, *invariants)
+    for lo in range(0, len(res), BLOCK_SAMPLES):
+        hi = min(lo + BLOCK_SAMPLES, len(res))
+        h = np.stack([traj.h_at(i) for i in range(lo, hi)])
+        f = np.stack([traj.f_at(i) for i in range(lo, hi)])
+        res[lo:hi] = np.column_stack(qbe.drifts(h, f, sys_.k, *invariants))
     header = (
         ["t"]
         + [f"c_{i}{j}" for i, j in traj.labels]

@@ -306,13 +306,17 @@ def integrate_qbe(sys: BrachSystem, t_end: float, step: float) -> Trajectory:
 def _spectra(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of each Hermitian matrix in a (..., 4, 4) stack.
 
-    All NaN when any entry is non-finite, so that a NaN coefficient always
-    shows as a NaN drift: given one, LAPACK may raise, or return finite
-    values when the NaN lies in the triangle it does not read.
+    All NaN for each matrix with a non-finite entry, so that a NaN coefficient
+    always shows as a NaN drift: given one, LAPACK may raise, or return finite
+    values when the NaN lies in the triangle it does not read.  The other
+    matrices of the stack keep their eigenvalues.
     """
-    if not np.isfinite(a).all():
-        return np.full(a.shape[:-1], np.nan)
-    return np.linalg.eigvalsh(a)
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    if finite.all():
+        return np.linalg.eigvalsh(a)
+    out = np.full(a.shape[:-1], np.nan)
+    out[finite] = np.linalg.eigvalsh(a[finite])
+    return out
 
 
 def initial_invariants(traj: Trajectory) -> tuple[float, np.ndarray]:

@@ -526,9 +526,10 @@ def test_frames_phase_overflow_exits_2(tmp_path):
 @pytest.mark.parametrize("samples", [1, BLOCK_SAMPLES, BLOCK_SAMPLES + 1])
 def test_evolve_residual_columns_peak_at_conserved_residuals(capsys, monkeypatch, tmp_path,
                                                              samples):
-    # evolve writes qbe.drifts per row; conserved_residuals takes the maxima
-    # of the same drifts per block.  An integration takes at least one step,
-    # so the trajectory is cut to its first `samples` rows.
+    # evolve writes qbe.drifts per block of rows; conserved_residuals takes
+    # the maxima of the same drifts per block.  Both must equal the per-row
+    # drifts.  An integration takes at least one step, so the trajectory is
+    # cut to its first `samples` rows.
     integrate = qbe.integrate_qbe
 
     def first_rows(sys_, t_end, step):
@@ -549,9 +550,51 @@ def test_evolve_residual_columns_peak_at_conserved_residuals(capsys, monkeypatch
     columns = np.array([[float(x) for x in line.split(",")[-4:]] for line in lines])
     assert columns.shape == (samples, 4)
     sys_ = qbe.majorana_system(m, p)
-    report = qbe.conserved_residuals(first_rows(sys_, t_end, step), sys_)
+    traj = first_rows(sys_, t_end, step)
+    # %.17g round-trips, so the columns equal the per-row drifts exactly.
+    assert np.array_equal(columns, _reference_drift_rows(traj, sys_))
+    report = qbe.conserved_residuals(traj, sys_)
     assert list(columns.max(axis=0)) == [report["isotropic_drift"], report["cross_trace_drift"],
                                          report["total_square_drift"], report["spectrum_drift"]]
+
+
+def _reference_drift_rows(traj, sys_) -> np.ndarray:
+    """evolve's drift columns as it once filled them, one qbe.drifts call per
+    row: the reference for its blocked audit."""
+    invariants = qbe.initial_invariants(traj)
+    return np.array([qbe.drifts(traj.h_at(i), traj.f_at(i), sys_.k, *invariants)
+                     for i in range(len(traj.times))])
+
+
+def test_evolve_audits_per_block_and_rebuilds_each_row_once(capsys, monkeypatch, tmp_path):
+    # One drifts call per block of BLOCK_SAMPLES rows, none per row; H and F
+    # are still rebuilt once per row, plus once each for the initial invariants.
+    shapes, rebuilt = [], {"h_at": 0, "f_at": 0}
+    drifts = qbe.drifts
+
+    def counted_drifts(h, f, *rest):
+        shapes.append((h.shape, f.shape))
+        return drifts(h, f, *rest)
+
+    def counted(name):
+        method = getattr(qbe.Trajectory, name)
+
+        def wrapper(self, i):
+            rebuilt[name] += 1
+            return method(self, i)
+        return wrapper
+
+    monkeypatch.setattr(qbe, "drifts", counted_drifts)
+    for name in rebuilt:
+        monkeypatch.setattr(qbe.Trajectory, name, counted(name))
+    rows = 513
+    code, out, _ = run_main(capsys, "evolve", *MASS_MOMENTUM, "--t-end=0.512", "--step=1e-3",
+                            "--out", str(tmp_path / "traj.csv"))
+    assert (code, out) == (0, f"evolve: wrote {rows} samples to {tmp_path / 'traj.csv'}\n")
+    blocks = [BLOCK_SAMPLES, BLOCK_SAMPLES, rows - 2 * BLOCK_SAMPLES]
+    assert len(blocks) == math.ceil(rows / BLOCK_SAMPLES)
+    assert shapes == [((n, 4, 4), (n, 4, 4)) for n in blocks]
+    assert rebuilt == {"h_at": rows + 1, "f_at": rows + 1}
 
 
 def _reference_write_csv(path, header, rows) -> None:

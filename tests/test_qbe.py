@@ -247,6 +247,26 @@ def test_nan_coefficient_gives_nan_residuals(generic_flow):
     assert report["isotropic_drift"] < 1e-9  # H is untouched
 
 
+@pytest.mark.parametrize("entry", [(0, 0), (0, 3)])  # eigvalsh reads the lower triangle
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", ["h", "f"])
+def test_non_finite_matrix_gives_nan_only_in_its_row(generic_flow, entry, bad, which):
+    # One non-finite matrix once made the spectrum drift of its whole stack NaN.
+    sys_, traj = generic_flow
+    invariants = initial_invariants(traj)
+    h = np.stack([traj.h_at(i) for i in range(4)])
+    f = np.stack([traj.f_at(i) for i in range(4)])
+    (h if which == "h" else f)[(2, *entry)] = bad
+    with np.errstate(invalid="ignore"):
+        stacked = np.column_stack(drifts(h, f, sys_.k, *invariants))
+        rows = np.array([drifts(h[i], f[i], sys_.k, *invariants) for i in range(4)])
+    assert np.isnan(stacked[2, 3]) and np.isnan(rows[2, 3])
+    others = [0, 1, 3]
+    assert not np.isnan(stacked[others]).any()
+    assert stacked[others].tobytes() == rows[others].tobytes()
+    assert np.array_equal(stacked[2], rows[2], equal_nan=True)
+
+
 def test_span_basis_cannot_be_written(generic_flow):
     _, traj = generic_flow
     before = traj.h_at(7).tobytes()
@@ -363,8 +383,8 @@ def _evolve_drifts(traj, sys_, i):
 @given(m=st.floats(0.0, 3.0), p=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
        lam=st.none() | st.tuples(*[UNIT] * 11), step=st.sampled_from([1e-3, 1e-2, 5e-2]))
 def test_stacked_drifts_equal_row_by_row(m, p, lam, step):
-    # evolve calls drifts once per sample and conserved_residuals once per
-    # block; both must see the same bits.
+    # evolve and conserved_residuals call drifts once per block; each row
+    # must see the bits of a call on that row alone.
     sys_ = majorana_system(m, p, lam)
     traj = integrate_qbe(sys_, 300 * step, step)
     invariants = initial_invariants(traj)

@@ -18,6 +18,10 @@ for s in 7 8 123; do cmds+=("angmom-conserve --seed $s --out angmom-conserve-$s.
 cmds+=("evolve --m 1.3 --px 0.5 --py -2 --pz 1.25 --t-end 1 --step 1e-4 --out evolve-bench.csv"
        "evolve --m 0 --px 0 --py 0 --pz -0.0 --t-end 1 --step 1e-3 --out evolve-zero.csv"
        "evolve ${mp[*]} --t-end=1000 --step=10 --out evolve-diverging.csv")
+# Block edges of evolve's audit: BLOCK_SAMPLES + 1 rows (a last block of one
+# row), and a single step (2 rows).
+cmds+=("evolve --m 0.7 --px -1.5 --py 0 --pz 2.25 --t-end=0.256 --step=1e-3 --out evolve-257.csv"
+       "evolve --m 0.7 --px -1.5 --py 0 --pz 2.25 --t-end=1e-3 --step=1e-3 --out evolve-2.csv")
 for r in majorana dirac; do cmds+=("classify-mass --rep $r ${mp[*]} --out classify-$r.json"); done
 for r in gamma majorana; do
   cmds+=("compton --rep $r --m 1 --omega1 1 --theta-grid 0:pi:300 --out compton-$r.csv")
