@@ -63,13 +63,7 @@ def majorana_eigenframe(m: float, p) -> EigenFrame:
     """
     p = np.asarray(p, dtype=float)
     px, py, pz = p
-    with np.errstate(over="ignore"):
-        energy = float(np.sqrt(m * m + p @ p))
-    if not math.isfinite(energy):
-        raise PropagateError("E^2 = m^2 + |p|^2 is not finite: "
-                             "the Hamiltonian H = i m beta + alpha.p overflows")
-    if energy <= 0.0:
-        raise PropagateError("E = sqrt(m^2 + |p|^2) must be positive")
+    energy = _energy(m, p)
     d = np.diag([energy, energy, -energy, -energy]).astype(complex)
 
     den = py - 1j * m
@@ -97,6 +91,16 @@ def majorana_eigenframe(m: float, p) -> EigenFrame:
     return EigenFrame(w, w_inv, d, energy)
 
 
+def _energy(m: float, p: np.ndarray) -> float:
+    """E = sqrt(m^2 + |p|^2); raises PropagateError when E^2 overflows."""
+    with np.errstate(over="ignore"):
+        energy = float(np.sqrt(m * m + p @ p))
+    if not math.isfinite(energy):
+        raise PropagateError("E^2 = m^2 + |p|^2 is not finite: "
+                             "the Hamiltonian H = i m beta + alpha.p overflows")
+    return energy
+
+
 def _pivoted_frame(m: float, p, energy: float, d: np.ndarray) -> EigenFrame:
     h = build_majorana().hamiltonian(m, p)
     vals, vecs = np.linalg.eigh(h)
@@ -110,22 +114,26 @@ def _pivoted_frame(m: float, p, energy: float, d: np.ndarray) -> EigenFrame:
     return EigenFrame(vecs, vecs.conj().T, d, energy, degenerate_fallback=True)
 
 
-def propagator(frame: EigenFrame) -> Callable[[float, float], np.ndarray]:
+def propagator(frame: EigenFrame) -> Callable[..., np.ndarray]:
     """U(t, s) = W(t) W^-1(s) as a function u(t, s) of the two times.
 
     The bare exp(-i(t-s)D) carries the universal phase e^{-iE(t-s)}, giving
-    the diagonal matrix diag(e^{-2iE(t-s)}, e^{-2iE(t-s)}, 1, 1).  Raises
-    PropagateError when the phase angle 2E(t - s) is not finite.
+    the diagonal matrix diag(e^{-2iE(t-s)}, e^{-2iE(t-s)}, 1, 1), stacked over
+    arrays t, s.  Raises PropagateError when a phase angle 2E(t - s) is not finite.
     """
     energy = frame.energy
 
-    def u(t: float, s: float) -> np.ndarray:
-        tau = float(t) - float(s)  # Python floats: an overflow gives inf, not a warning
-        if not math.isfinite(2.0 * energy * tau):
+    def u(t, s) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            tau = np.subtract(t, s, dtype=float)
+            finite = np.isfinite(2.0 * energy * tau)
+        if not finite.all():
             raise PropagateError(f"2 E (t - s) is not finite at E = {energy:g}, "
-                                 f"t - s = {tau:g}")
-        phases = np.exp(-1j * tau * np.diag(frame.d))
-        return np.diag(np.exp(-1j * energy * tau) * phases)
+                                 f"t - s = {tau[~finite][0]:g}")
+        out = np.zeros(tau.shape + (4, 4), dtype=complex)
+        out[..., range(4), range(4)] = (np.exp(-1j * energy * tau)[..., None]
+                                        * np.exp(-1j * tau[..., None] * np.diag(frame.d)))
+        return out
 
     return u
 
@@ -135,14 +143,14 @@ def eigenframe_at(frame: EigenFrame, t: float) -> np.ndarray:
     return propagator(frame)(t, 0.0) @ frame.w
 
 
-def evolve_hamiltonian(frame: EigenFrame, h0: np.ndarray, t: float) -> np.ndarray:
-    """H(t) = U(t, 0) H(0) U(t, 0)^dag; requires h0 to share the frame's
-    spectrum, to within 1e-8 relative to E once E exceeds 1."""
+def evolve_hamiltonian(frame: EigenFrame, h0: np.ndarray, t) -> np.ndarray:
+    """H(t) = U(t, 0) H(0) U(t, 0)^dag, stacked over an array t; requires h0 to
+    share the frame's spectrum, to within 1e-8 relative to E once E exceeds 1."""
     expected = np.sort(np.diag(frame.d).real)
     if max_abs(np.linalg.eigvalsh(h0) - expected) > 1e-8 * max(1.0, frame.energy):
         raise PropagateError("h0 spectrum does not match the eigenframe")
     u = propagator(frame)(t, 0.0)
-    return u @ h0 @ u.conj().T
+    return u @ h0 @ u.conj().swapaxes(-1, -2)
 
 
 def project_coeffs(h: np.ndarray) -> dict[tuple[str, str], complex]:
@@ -200,7 +208,7 @@ def classify_mass(rep: SpinorRep, m0: float, p, t_grid) -> MassReport:
         raise PropagateError("t_grid needs at least 2 samples to classify")
     if not np.ptp(t_grid) > 0:
         raise PropagateError("t_grid needs a nonzero span to classify")
-    energy = float(np.sqrt(m0 * m0 + p @ p))
+    energy = _energy(m0, p)
     expected_rate = 2.0 * energy
     dt = np.abs(np.diff(t_grid)).max()
     if not expected_rate * dt < np.pi * (1.0 - NYQUIST_MARGIN):
@@ -212,6 +220,7 @@ def classify_mass(rep: SpinorRep, m0: float, p, t_grid) -> MassReport:
                              f"a rotating mass would move at most {reach:.3g}, "
                              f"not above {SPAN_MARGIN * CLASSIFY_TOL:.3g}")
 
+    # U is the bare exp(-itD): propagator() differs by e^{-iEt}, which would move bits.
     h0 = rep.hamiltonian(m0, p)
     vals = energy * np.array([1.0, 1.0, -1.0, -1.0])
     c_mass = np.empty(t_grid.size)

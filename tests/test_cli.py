@@ -515,11 +515,41 @@ def test_frames_at_large_mass_fails_without_input_error(tmp_path, mass):
 
 def test_frames_phase_overflow_exits_2(tmp_path):
     # 2 E t overflows: this once printed four numpy warnings and then
-    # "evolved Hamiltonian lost Hermiticity".
+    # "evolved Hamiltonian lost Hermiticity".  The propagator's check reports it.
     out = tmp_path / "frames.json"
     res = run_cli("frames", *MASS_MOMENTUM, "--t", "1e308", "--out", str(out))
     assert res.returncode == 2
-    assert res.stderr == "error: 2 E t is not finite at E = 2, t = 1e+308\n"
+    assert res.stderr == "error: 2 E (t - s) is not finite at E = 2, t - s = 1e+308\n"
+    assert res.stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("mass", ["0", "1e-170"])
+def test_frames_accepts_a_zero_hamiltonian(capsys, tmp_path, mass):
+    # E = 0 (at m = 1e-170, E^2 underflows) once exited 2 with
+    # "E = sqrt(m^2 + |p|^2) must be positive".
+    out = tmp_path / "frames.json"
+    code, stdout, err = run_main(capsys, "frames", "--m", mass, "--px", "0", "--py", "0",
+                                 "--pz", "0", "--t", "0.7", "--out", str(out))
+    assert (code, stdout, err) == (0, "frames: PASS\n", "")
+    payload = json.loads(out.read_text())
+    assert payload["klein_gordon_residual"] == 0
+    assert not any(payload["residuals"].values())
+
+
+@pytest.mark.parametrize("flags", [[], ["-W", "error"]], ids=["default", "W-error"])
+@pytest.mark.parametrize("rep", ["majorana", "dirac"])
+def test_overflowing_classify_mass_exits_2(tmp_path, rep, flags):
+    # |p|^2 overflows: this once printed a numpy overflow warning and then
+    # blamed the grid, "2E * step = inf must stay below pi"; under -W error
+    # it ended in a traceback.
+    out = tmp_path / "classify.json"
+    res = subprocess.run([sys.executable, *flags, *CLI[1:], "classify-mass", "--rep", rep,
+                          "--m", "1", "--px", "1e200", "--py", "1", "--pz", "1",
+                          "--out", str(out)], capture_output=True, text=True)
+    assert res.returncode == 2
+    assert "Warning" not in res.stderr
+    assert res.stderr == ("error: E^2 = m^2 + |p|^2 is not finite: "
+                          "the Hamiltonian H = i m beta + alpha.p overflows\n")
     assert res.stdout == "" and not out.exists()
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qbrach.cliffrep import build_dirac, build_majorana
 from qbrach.matcore import BLOCK_SAMPLES, max_abs
@@ -45,6 +47,14 @@ def test_degenerate_fallback_used_when_denominator_vanishes():
     assert max_abs(frame.w_inv @ h @ frame.w - frame.d) < 1e-10
 
 
+def test_zero_hamiltonian_takes_the_pivoted_frame():
+    # E = 0 once raised "E = sqrt(m^2 + |p|^2) must be positive".
+    frame = majorana_eigenframe(0.0, (0, 0, 0))
+    assert frame.degenerate_fallback and frame.energy == 0
+    assert (frame.w == np.eye(4)).all()
+    assert (propagator(frame)(0.7, 0.0) == np.eye(4)).all()
+
+
 def test_propagator_is_phased_diagonal():
     rng = np.random.default_rng(29)
     m, p = 1.0, np.array([1.0, 1.0, 1.0])
@@ -73,6 +83,51 @@ def test_propagator_bits_are_unchanged_by_the_phase_check():
         t, s = rng.uniform(-3, 3, 2)
         for args in ((t, s), (float(t), float(s)), (t, 0.0), (0.0, s)):
             assert propagator(frame)(*args).tobytes() == _reference_u(frame, *args).tobytes()
+
+
+@st.composite
+def _mass_momenta(draw):
+    """(m, p) with E = sqrt(m^2 + |p|^2) from 1e-3 to 1e3."""
+    v = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 4)))
+    assume(np.abs(v).max() > 0.1)
+    v = v * (10.0 ** draw(st.floats(-3.0, 3.0)) / np.linalg.norm(v))
+    return float(v[0]), v[1:]
+
+
+TIMES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10.0, 10.0),
+                  st.floats(-1e150, 1e150))
+
+
+@st.composite
+def _grids(draw):
+    """(ts, s): up to 18 times, some of them equal to s."""
+    s = draw(TIMES)
+    return np.array(draw(st.lists(st.one_of(TIMES, st.just(s)), min_size=1, max_size=18))), s
+
+
+@settings(max_examples=300)
+@given(mp=_mass_momenta(), grid=_grids())
+def test_propagator_on_a_grid_equals_per_time_calls(mp, grid):
+    frame = majorana_eigenframe(*mp)
+    ts, s = grid
+    u = propagator(frame)(ts, s)
+    assert u.shape == (len(ts), 4, 4)
+    for t, u_t in zip(ts, u):
+        assert u_t.tobytes() == _reference_u(frame, float(t), s).tobytes()
+
+
+@settings(max_examples=300)
+@given(mp=_mass_momenta(), grid=_grids())
+def test_evolve_hamiltonian_on_a_grid_equals_per_time_calls(mp, grid):
+    frame = majorana_eigenframe(*mp)
+    h0 = build_majorana().hamiltonian(*mp)
+    ts, _ = grid
+    h_t = evolve_hamiltonian(frame, h0, ts)
+    assert h_t.shape == (len(ts), 4, 4)
+    for t, h in zip(ts, h_t):
+        u = _reference_u(frame, float(t), 0.0)
+        assert h.tobytes() == evolve_hamiltonian(frame, h0, t).tobytes()
+        assert h.tobytes() == (u @ h0 @ u.conj().T).tobytes()
 
 
 @pytest.mark.parametrize("t,s", [(1e308, 0.0), (np.float64(1e308), 0.0), (-1e308, 0.0),
@@ -148,6 +203,14 @@ def test_evolve_spectrum_tolerance_scales_with_energy():
 def test_eigenframe_rejects_overflowing_energy(m, p):
     with np.errstate(all="raise"), pytest.raises(PropagateError, match="overflows"):
         majorana_eigenframe(m, p)
+
+
+@pytest.mark.parametrize("rep", [build_majorana(), build_dirac()], ids=["majorana", "dirac"])
+def test_classify_rejects_overflowing_energy(rep):
+    # |p|^2 overflows: this once warned in matmul and then blamed the grid,
+    # "2E * step = inf must stay below pi".
+    with np.errstate(all="raise"), pytest.raises(PropagateError, match="overflows"):
+        classify_mass(rep, 1.0, (1e200, 1, 1), np.linspace(0.0, 3.0, 300))
 
 
 def test_project_coeffs_recovers_hamiltonian():

@@ -28,6 +28,10 @@ for r in gamma majorana; do
 done
 for r in majorana dirac gamma; do cmds+=("verify-algebra --rep $r --out algebra-$r.json"); done
 for m in 1 1e3; do cmds+=("frames --m $m --px 1 --py 1 --pz 1 --t 0.7 --out frames-$m.json"); done
+# frames at the pivoted frame (p_y = m = 0), at a long time and at another seed.
+cmds+=("frames --m 0 --px 1 --py 0 --pz 1 --t 0.7 --out frames-pivoted.json"
+       "frames ${mp[*]} --t 1e6 --out frames-long.json"
+       "frames --m 0.3 --px -2 --py 0.5 --pz 1.5 --t 2.9 --seed 5 --out frames-seed5.json")
 cmds+=("angmom --nx 1 --lyz 2 --t 0.5 --out angmom.json")
 
 run() {  # run() SIDE TREE: every command from TREE, its files saved under $work/SIDE
