@@ -67,8 +67,7 @@ def qbe_conservation(n, l, f_coeffs, t_end: float, step: float) -> dict:
     residual of F(t) against the conjugation oracle e^{tM} F(0) e^{-tM}.
     """
     h0 = toy_hamiltonian(n, l)
-    sys = angmom_system(h0, f_coeffs)
-    traj = integrate_qbe(sys, t_end, step)
+    traj = integrate_qbe(angmom_system(h0, f_coeffs), t_end, step)
 
     m_mat = assemble_tensor(n, l)
     f0 = traj.f_at(0)
@@ -79,7 +78,7 @@ def qbe_conservation(n, l, f_coeffs, t_end: float, step: float) -> dict:
         worst.append([np.max(np.abs(h - h0)), np.max(np.abs(f - oracle))])
     h_drift, f_resid = np.max(worst, axis=0)
 
-    report = conserved_residuals(traj, sys)
+    report = conserved_residuals(traj)
     report["hamiltonian_drift"] = float(h_drift)
     report["constraint_conjugation_residual"] = float(f_resid)
     report["invariant"] = angmom_invariant(n, l)

@@ -20,7 +20,7 @@ import numpy as np
 from . import angmom4, frames, propagate, qbe, scatter
 from .cliffrep import build_dirac, build_majorana, verify_algebra, verify_gamma_algebra
 from .matcore import (BLOCK_SAMPLES, MAX_SAMPLES, anticommutator, kron_matrix, mat_to_json,
-                      max_abs, worst)
+                      max_abs, traceless_labels, worst)
 
 SCHEMA_VERSION = "1"
 OUT_DIR_ENV = "QBRACH_OUT_DIR"
@@ -193,7 +193,7 @@ def _conservation(rng, t_end: float, step: float):
 
 def _finish(args, payload: dict, ok: bool, line: str) -> int:
     """Write the JSON report if --out is given, print `line`, return the exit code."""
-    if args.out:
+    if args.out is not None:
         obj = {"command": args.command, "schema_version": SCHEMA_VERSION, **payload}
         with open(_resolve_out(args.out), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(render_json(obj) + "\n")
@@ -216,8 +216,8 @@ def _cmd_verify_algebra(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
-    sys_ = qbe.majorana_system(args.m, (args.px, args.py, args.pz))
-    traj = qbe.integrate_qbe(sys_, args.t_end, args.step)
+    traj = qbe.integrate_qbe(qbe.majorana_system(args.m, (args.px, args.py, args.pz)),
+                             args.t_end, args.step)
 
     invariants = qbe.initial_invariants(traj)
     res = np.empty((len(traj.times), 4))
@@ -225,10 +225,10 @@ def _cmd_evolve(args) -> int:
         hi = min(lo + BLOCK_SAMPLES, len(res))
         h = np.stack([traj.h_at(i) for i in range(lo, hi)])
         f = np.stack([traj.f_at(i) for i in range(lo, hi)])
-        res[lo:hi] = np.column_stack(qbe.drifts(h, f, sys_.k, *invariants))
+        res[lo:hi] = np.column_stack(qbe.drifts(h, f, traj.system.k, *invariants))
     header = (
         ["t"]
-        + [f"c_{i}{j}" for i, j in traj.labels]
+        + [f"c_{i}{j}" for i, j in traceless_labels()]
         + ["res_isotropic", "res_cross_trace", "res_total_square", "res_spectrum"]
     )
     _write_csv(args.out, header, traj.times, traj.coeffs, res)
@@ -584,7 +584,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.out:
+        if args.out is not None:
             _check_out_dir(args.out)
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,30 +83,29 @@ def check_isotropic(h: np.ndarray, k: float) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class BrachSystem:
-    """Hamiltonian-plus-constraint initial data for the matrix flow."""
+    """Hamiltonian-plus-constraint initial data for the matrix flow.
+
+    H0 lies on the labels h_span and F0 = sum_a lambda0_a Y_a on the rest,
+    f_span = complement_span(h_span); k = Tr[H0^2]/2 is the energy budget.
+    """
 
     h0: np.ndarray
     h_span: tuple[Label, ...]
-    f_span: tuple[Label, ...]
     lambda0: np.ndarray
-    k: float
+    f_span: tuple[Label, ...] = field(init=False)
+    k: float = field(init=False)
 
     def __post_init__(self):
-        if set(self.h_span) & set(self.f_span):
-            raise QbeError("h_span and f_span overlap")
-        if ("1", "1") in self.h_span or ("1", "1") in self.f_span:
-            raise QbeError("identity label not allowed in either span")
+        object.__setattr__(self, "f_span", tuple(complement_span(self.h_span)))
+        object.__setattr__(self, "k", float(np.trace(self.h0 @ self.h0).real / 2.0))
         # Each test is written to fail on a NaN residual as well.
         if not abs(np.trace(self.h0)) <= 1e-12:
             raise QbeError("Hamiltonian must be traceless")
-        f0 = self.f0()
-        if not abs(trace_pair(self.h0, f0)) <= 1e-10:
+        if not abs(trace_pair(self.h0, self.f0())) <= 1e-10:
             raise QbeError("Tr[H F] != 0 at t = 0")
-        if not check_isotropic(self.h0, self.k) <= 1e-10:
-            raise QbeError("isotropic constraint Tr[H^2/2] = k violated at t = 0")
 
     def f0(self) -> np.ndarray:
-        return assemble_constraint(list(self.f_span), self.lambda0)
+        return assemble_constraint(self.f_span, self.lambda0)
 
 
 def majorana_system(m: float, p, lam=None) -> BrachSystem:
@@ -117,18 +116,21 @@ def majorana_system(m: float, p, lam=None) -> BrachSystem:
     H by the diagonal propagator and the mass coefficient rotates at 2E.
     """
     p = np.asarray(p, dtype=float)
+    f_span = complement_span(MAJORANA_H_SPAN)
     with np.errstate(over="ignore", invalid="ignore"):
         energy = float(np.sqrt(m * m + p @ p))
-        h0 = build_majorana().hamiltonian(m, p)
-        k = float(np.trace(h0 @ h0).real / 2.0)
-    if not (math.isfinite(energy) and math.isfinite(k)):
+        if lam is None:
+            lam = np.zeros(len(f_span))
+            lam[f_span.index(("z", "1"))] = -energy
+        # Built only for a finite E, since an infinite one makes the default
+        # F0 NaN; k = Tr[H0^2]/2 = 2 E^2 may still overflow.
+        sys_ = (BrachSystem(build_majorana().hamiltonian(m, p), tuple(MAJORANA_H_SPAN),
+                            np.asarray(lam, dtype=float))
+                if math.isfinite(energy) else None)
+    if sys_ is None or not math.isfinite(sys_.k):
         raise QbeError("E^2 = m^2 + |p|^2 or k = Tr[H^2/2] is not finite: "
                        "the Hamiltonian H = i m beta + alpha.p overflows")
-    f_span = complement_span(MAJORANA_H_SPAN)
-    if lam is None:
-        lam = np.zeros(len(f_span))
-        lam[f_span.index(("z", "1"))] = -energy
-    return BrachSystem(h0, tuple(MAJORANA_H_SPAN), tuple(f_span), np.asarray(lam, dtype=float), k)
+    return sys_
 
 
 def angmom_system(h0: np.ndarray, f_coeffs) -> BrachSystem:
@@ -137,9 +139,7 @@ def angmom_system(h0: np.ndarray, f_coeffs) -> BrachSystem:
     The H span is the six imaginary Kronecker labels; the constraint span is
     the nine real symmetric traceless labels, with coefficients f_coeffs.
     """
-    f_span = complement_span(IMAG_LABELS)
-    k = float(np.trace(h0 @ h0).real / 2.0)
-    return BrachSystem(h0, tuple(IMAG_LABELS), tuple(f_span), np.asarray(f_coeffs, dtype=float), k)
+    return BrachSystem(h0, tuple(IMAG_LABELS), np.asarray(f_coeffs, dtype=float))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -156,28 +156,27 @@ def _span_basis(labels: tuple[Label, ...]) -> np.ndarray:
 
 
 @functools.cache
-def _span_columns(labels: tuple[Label, ...], which: tuple[Label, ...]) -> np.ndarray:
-    """The position in `labels` of each label of `which`."""
+def _span_columns(which: tuple[Label, ...]) -> np.ndarray:
+    """The position of each label of `which` in traceless_labels()."""
+    labels = traceless_labels()
     return _frozen(np.array([labels.index(lab) for lab in which]))
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Integrated flow sampled on a uniform time grid."""
+    """The flow of `system` sampled on a uniform time grid."""
 
     times: np.ndarray
-    coeffs: np.ndarray  # (n_times, 15) real, ordered by `labels`
-    labels: tuple[Label, ...]
-    h_labels: tuple[Label, ...]
-    f_labels: tuple[Label, ...]
+    coeffs: np.ndarray  # (n_times, 15) real, ordered by traceless_labels()
+    system: BrachSystem
 
     def coeff_series(self, label: Label) -> np.ndarray:
-        return self.coeffs[:, self.labels.index(label)]
+        return self.coeffs[:, traceless_labels().index(label)]
 
     def _stack(self, which: tuple[Label, ...], rows) -> np.ndarray:
         """sum_a c_a(t_i) Y_a over the labels `which`, for the samples i that
         `rows` selects from `coeffs`, as a (k, 4, 4) stack."""
-        c = self.coeffs[rows][:, _span_columns(self.labels, which)]
+        c = self.coeffs[rows][:, _span_columns(which)]
         return np.dot(c, _span_basis(which)).reshape(-1, 4, 4)
 
     def blocks(self):
@@ -185,13 +184,13 @@ class Trajectory:
         where H and F are the stacks for samples lo, lo + 1, ..."""
         for lo in range(0, len(self.times), BLOCK_SAMPLES):
             rows = slice(lo, lo + BLOCK_SAMPLES)
-            yield lo, self._stack(self.h_labels, rows), self._stack(self.f_labels, rows)
+            yield lo, self._stack(self.system.h_span, rows), self._stack(self.system.f_span, rows)
 
     def h_at(self, i: int) -> np.ndarray:
-        return self._stack(self.h_labels, [i])[0]
+        return self._stack(self.system.h_span, [i])[0]
 
     def f_at(self, i: int) -> np.ndarray:
-        return self._stack(self.f_labels, [i])[0]
+        return self._stack(self.system.f_span, [i])[0]
 
 
 def integrate_qbe(sys: BrachSystem, t_end: float, step: float) -> Trajectory:
@@ -300,7 +299,7 @@ def integrate_qbe(sys: BrachSystem, t_end: float, step: float) -> Trajectory:
             if bad.any():
                 raise DivergenceError(f"non-finite coefficients at t = {times[lo + bad.argmax()]}")
 
-    return Trajectory(times, out, labels, sys.h_span, sys.f_span)
+    return Trajectory(times, out, sys)
 
 
 def _spectra(a: np.ndarray) -> np.ndarray:
@@ -337,13 +336,13 @@ def drifts(h: np.ndarray, f: np.ndarray, k: float, tr_a2_0: float, eig0: np.ndar
             abs(_spectra(a) - eig0).max(axis=-1))
 
 
-def conserved_residuals(traj: Trajectory, sys: BrachSystem) -> dict[str, float]:
+def conserved_residuals(traj: Trajectory) -> dict[str, float]:
     """Drift of the flow's conserved quantities over a trajectory.
 
     Each drift is the largest over all samples and is NaN if any sample's is.
     """
     invariants = initial_invariants(traj)
-    worst = [[np.max(d) for d in drifts(h, f, sys.k, *invariants)]
+    worst = [[np.max(d) for d in drifts(h, f, traj.system.k, *invariants)]
              for _, h, f in traj.blocks()]
     iso, cross, tr_a2, spec = np.max(worst, axis=0)
     return {

@@ -16,7 +16,7 @@ from qbrach.angmom4 import (
     qbe_conservation,
     toy_hamiltonian,
 )
-from qbrach.matcore import BLOCK_SAMPLES, max_abs
+from qbrach.matcore import BLOCK_SAMPLES, max_abs, traceless_labels
 from qbrach.qbe import angmom_system, integrate_qbe
 
 
@@ -103,7 +103,7 @@ def test_nan_coefficient_fails_angmom_conserve(monkeypatch, angmom_flow, tmp_pat
     assert cli.main(["angmom-conserve", "--seed", "7", "--out", str(out)]) == 0
 
     coeffs = full.coeffs.copy()
-    coeffs[3000, full.labels.index(("x", "x"))] = np.nan  # a constraint label
+    coeffs[3000, traceless_labels().index(("x", "x"))] = np.nan  # a constraint label
     traj = replace(full, coeffs=coeffs)
     report = _conservation_with(monkeypatch, n, l, f_coeffs, traj)
     assert np.isnan(report["constraint_conjugation_residual"])

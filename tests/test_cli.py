@@ -263,6 +263,29 @@ def test_missing_out_dir_exits_2_before_any_work(capsys, monkeypatch, tmp_path, 
         assert not folder.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["evolve", *MASS_MOMENTUM, "--t-end", "5", "--step", "1e-4"],
+    ["compton", "--rep", "gamma", "--m", "1", "--omega1", "1"],
+    ["report-all"],
+    ["verify-algebra", "--rep", "majorana"],
+], ids=["evolve", "compton", "report-all", "verify-algebra"])
+def test_empty_out_exits_2_before_any_work(capsys, monkeypatch, tmp_path, argv):
+    # An empty --out once skipped the output check: evolve integrated all its
+    # steps before failing to open "./", and report-all exited 0 with no report.
+    def never(*_):
+        raise AssertionError("worked before checking the output path")
+
+    for owner, name in [(qbe, "integrate_qbe"), (angmom4, "integrate_qbe"),
+                        (cli.scatter, "verify_conservation"), (cli, "_algebra")]:
+        monkeypatch.setattr(owner, name, never)
+    monkeypatch.delenv(cli.OUT_DIR_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run_main(capsys, *argv, "--out=")
+    assert (code, stdout) == (2, "")
+    assert err == "error: output path './' is a directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, argv", [
     ("compton", ["--rep", "gamma", "--m", "1", "--omega1", "1",
                  f"--theta-grid=0:pi:{MAX_SAMPLES + 1}"]),
@@ -583,7 +606,7 @@ def test_evolve_residual_columns_peak_at_conserved_residuals(capsys, monkeypatch
     traj = first_rows(sys_, t_end, step)
     # %.17g round-trips, so the columns equal the per-row drifts exactly.
     assert np.array_equal(columns, _reference_drift_rows(traj, sys_))
-    report = qbe.conserved_residuals(traj, sys_)
+    report = qbe.conserved_residuals(traj)
     assert list(columns.max(axis=0)) == [report["isotropic_drift"], report["cross_trace_drift"],
                                          report["total_square_drift"], report["spectrum_drift"]]
 

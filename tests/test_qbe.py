@@ -64,21 +64,18 @@ def test_majorana_hamiltonian_coefficients():
     assert abs(coeff[("z", "x")] - p[2]) < 1e-14
 
 
-def test_brach_system_rejects_overlapping_spans():
-    rep = build_majorana()
-    h0 = rep.hamiltonian(1.0, (0.0, 0.0, 0.0))
-    f_span = tuple(complement_span(MAJORANA_H_SPAN)) + (("y", "1"),)
-    with pytest.raises(QbeError):
-        BrachSystem(h0, tuple(MAJORANA_H_SPAN), f_span, np.zeros(12), 1.0)
-
-
-def test_brach_system_validates_isotropic_budget():
-    rep = build_majorana()
-    h0 = rep.hamiltonian(1.0, (1.0, 1.0, 1.0))
-    f_span = tuple(complement_span(MAJORANA_H_SPAN))
-    with pytest.raises(QbeError):
-        # Tr[H^2/2] = 2 E^2 = 8, so k = 1 must be rejected
-        BrachSystem(h0, tuple(MAJORANA_H_SPAN), f_span, np.zeros(11), 1.0)
+@pytest.mark.parametrize("sys_", [
+    majorana_system(1.3, (0.5, -2.0, 1.25), lam=np.linspace(-1.0, 1.0, 11)),
+    angmom_system(toy_hamiltonian((0.3, 0.2, -0.5), (0.1, 0.7, 0.2)), np.linspace(-1.0, 1.0, 9)),
+], ids=["majorana", "angmom"])
+def test_brach_system_derives_f_span_and_budget(sys_):
+    # The F span and the budget k follow from the H span and H0; k keeps the
+    # bits of this expression, which every isotropic drift is measured against.
+    assert sys_.f_span == tuple(complement_span(sys_.h_span))
+    k = float(np.trace(sys_.h0 @ sys_.h0).real / 2.0)
+    assert np.float64(sys_.k).tobytes() == np.float64(k).tobytes()
+    again = BrachSystem(sys_.h0, sys_.h_span, sys_.lambda0)
+    assert (again.f_span, again.k) == (sys_.f_span, sys_.k)
 
 
 def test_brach_system_rejects_nan_residuals():
@@ -87,7 +84,7 @@ def test_brach_system_rejects_nan_residuals():
     lam[0] = np.nan
     h0 = sys_.h0.copy()
     h0[0, 0] = np.nan
-    for bad in (dict(k=np.nan), dict(lambda0=lam), dict(h0=h0)):
+    for bad in (dict(lambda0=lam), dict(h0=h0)):
         with pytest.raises(QbeError):
             replace(sys_, **bad)
 
@@ -159,7 +156,7 @@ def test_integrate_closed_orbit_matches_conjugation():
 def test_conserved_residuals_small():
     sys_ = majorana_system(1.0, (1.0, 1.0, 1.0))
     traj = integrate_qbe(sys_, 1.0, 1e-3)
-    report = conserved_residuals(traj, sys_)
+    report = conserved_residuals(traj)
     for name, val in report.items():
         assert val < 1e-9, name
 
@@ -190,7 +187,7 @@ def _loop_stack(traj, which, rows):
     c = traj.coeffs[rows]
     a = np.zeros((len(c), 4, 4), dtype=complex)
     for lab in which:
-        a = a + c[:, traj.labels.index(lab), None, None] * kron_matrix(lab)
+        a = a + c[:, traceless_labels().index(lab), None, None] * kron_matrix(lab)
     return a
 
 
@@ -200,13 +197,13 @@ def _resum(traj, which, i):
 
 def _per_sample_residuals(traj, sys_):
     """conserved_residuals as a loop over single samples: the reference."""
-    a0 = _resum(traj, traj.h_labels, 0) + _resum(traj, traj.f_labels, 0)
+    a0 = _resum(traj, traj.system.h_span, 0) + _resum(traj, traj.system.f_span, 0)
     tr_a2_0 = np.trace(a0 @ a0).real
     eig0 = np.sort(np.linalg.eigvalsh(a0))
     iso = cross = tr_a2 = spec = 0.0
     for i in range(len(traj.times)):
-        h = _resum(traj, traj.h_labels, i)
-        f = _resum(traj, traj.f_labels, i)
+        h = _resum(traj, traj.system.h_span, i)
+        f = _resum(traj, traj.system.f_span, i)
         a = h + f
         iso = max(iso, check_isotropic(h, sys_.k))
         cross = max(cross, abs(trace_pair(h, f)))
@@ -228,19 +225,19 @@ def generic_flow():
 def test_blocked_residuals_equal_per_sample_loop(generic_flow, samples):
     sys_, full = generic_flow
     traj = replace(full, times=full.times[:samples], coeffs=full.coeffs[:samples])
-    report = conserved_residuals(traj, sys_)
+    report = conserved_residuals(traj)
     assert report == _per_sample_residuals(traj, sys_)
     assert report["spectrum_drift"] > 0 or samples == 1
     for i in (0, samples - 1, -1):
-        assert np.array_equal(traj.h_at(i), _resum(traj, traj.h_labels, i))
-        assert np.array_equal(traj.f_at(i), _resum(traj, traj.f_labels, i))
+        assert np.array_equal(traj.h_at(i), _resum(traj, traj.system.h_span, i))
+        assert np.array_equal(traj.f_at(i), _resum(traj, traj.system.f_span, i))
 
 
 def test_nan_coefficient_gives_nan_residuals(generic_flow):
     sys_, full = generic_flow
     coeffs = full.coeffs[:600].copy()
-    coeffs[300, full.labels.index(("z", "1"))] = np.nan  # an F label
-    report = conserved_residuals(replace(full, times=full.times[:600], coeffs=coeffs), sys_)
+    coeffs[300, traceless_labels().index(("z", "1"))] = np.nan  # an F label
+    report = conserved_residuals(replace(full, times=full.times[:600], coeffs=coeffs))
     assert np.isnan(report["cross_trace_drift"])
     assert np.isnan(report["total_square_drift"])
     assert np.isnan(report["spectrum_drift"])
@@ -270,12 +267,12 @@ def test_non_finite_matrix_gives_nan_only_in_its_row(generic_flow, entry, bad, w
 def test_span_basis_cannot_be_written(generic_flow):
     _, traj = generic_flow
     before = traj.h_at(7).tobytes()
-    basis = _span_basis(traj.h_labels)
+    basis = _span_basis(traj.system.h_span)
     with pytest.raises(ValueError):
         basis[0, 0] = 99.0
     with pytest.raises(ValueError):
         basis.flags.writeable = True
-    assert _span_basis(traj.h_labels) is basis
+    assert _span_basis(traj.system.h_span) is basis
     assert traj.h_at(7).tobytes() == before
 
 
@@ -326,13 +323,13 @@ def _assert_bit_exact(sys_, step):
     traj = integrate_qbe(sys_, STEPS * step, step)
     assert traj.coeffs.tobytes() == _reference_coeffs(sys_, step, STEPS).tobytes()
     for i in (0, 1, STEPS // 2, STEPS, -1):
-        assert traj.h_at(i).tobytes() == _resum(traj, traj.h_labels, i).tobytes()
-        assert traj.f_at(i).tobytes() == _resum(traj, traj.f_labels, i).tobytes()
+        assert traj.h_at(i).tobytes() == _resum(traj, traj.system.h_span, i).tobytes()
+        assert traj.f_at(i).tobytes() == _resum(traj, traj.system.f_span, i).tobytes()
     seen = 0
     for lo, h, f in traj.blocks():
         rows = slice(lo, lo + BLOCK_SAMPLES)
-        assert h.tobytes() == _loop_stack(traj, traj.h_labels, rows).tobytes()
-        assert f.tobytes() == _loop_stack(traj, traj.f_labels, rows).tobytes()
+        assert h.tobytes() == _loop_stack(traj, traj.system.h_span, rows).tobytes()
+        assert f.tobytes() == _loop_stack(traj, traj.system.f_span, rows).tobytes()
         seen += len(h)
     assert seen == STEPS + 1
 
@@ -442,3 +439,29 @@ def test_divergence_names_first_non_finite_row(t_end, step, block):
     with np.errstate(all="raise"), pytest.raises(DivergenceError) as err:
         integrate_qbe(sys_, t_end, step)
     assert str(err.value) == f"non-finite coefficients at t = {(np.arange(n + 1) * step)[row]}"
+
+
+def _majorana_draw(seed):
+    rng = np.random.default_rng(seed)
+    return majorana_system(rng.uniform(0.1, 3.0), rng.uniform(-3.0, 3.0, 3),
+                           rng.uniform(-2.0, 2.0, 11))
+
+
+def _angmom_draw(seed):
+    rng = np.random.default_rng(seed)
+    return angmom_system(toy_hamiltonian(rng.uniform(-1.0, 1.0, 3), rng.uniform(-1.0, 1.0, 3)),
+                         rng.uniform(-1.0, 1.0, 9))
+
+
+@pytest.mark.parametrize("sys_", [*map(_majorana_draw, range(6)), *map(_angmom_draw, range(2))],
+                         ids=[*(f"majorana-{s}" for s in range(6)),
+                              *(f"angmom-{s}" for s in range(2))])
+def test_rk4_is_fourth_order(sys_):
+    # Halving the step divides the error by 2^4 = 16 (a 2nd-order method
+    # would give 4).  Both errors are the largest over the coarse grid's
+    # samples, against a run at an eighth of the finer step.
+    t_end, step = 2.0, 1e-2
+    ref = integrate_qbe(sys_, t_end, step / 8).coeffs
+    err = [max_abs(integrate_qbe(sys_, t_end, h).coeffs - ref[::round(8 * h / step)])
+           for h in (2 * step, step)]
+    assert 12 <= err[0] / err[1] <= 20
