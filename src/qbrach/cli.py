@@ -1,9 +1,10 @@
 """Command-line front end: reproducible runs with JSON/CSV reports.
 
 Every report carries schema_version "1"; floats are serialized with 17
-significant digits so identical inputs give byte-identical files.  Exit
-codes: 0 on PASS verdicts, 1 on FAIL/UNCLASSIFIED, 2 on input error,
-including a non-finite number, 3 when an integration diverges.
+significant digits so identical inputs give byte-identical files on one
+machine and numpy build.  Exit codes: 0 on PASS verdicts, 1 on
+FAIL/UNCLASSIFIED, 2 on input error, including a non-finite number, 3 when
+an integration diverges.
 """
 
 from __future__ import annotations
@@ -96,24 +97,27 @@ def _check_out_dir(path: str) -> None:
 def _write_csv(path: str, header: list[str], *columns: np.ndarray) -> None:
     """Write float arrays of equal length side by side, a 1-D array as one
     column and a 2-D array as several, with 17 significant digits.  Rows are
-    rendered and written one block of BLOCK_SAMPLES at a time, so memory
-    beyond the arrays stays bounded whatever their length."""
+    rendered, by one % on the row template repeated once per row, and
+    written one block of BLOCK_SAMPLES at a time, so memory beyond the arrays
+    stays bounded whatever their length."""
     width = sum(1 if np.ndim(c) == 1 else np.shape(c)[1] for c in columns)
     row = ",".join(["%.17g"] * width) + "\n"  # '%.17g' % x == format(x, ".17g")
     with open(_resolve_out(path), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, len(columns[0]), BLOCK_SAMPLES):
             block = np.column_stack([c[lo:lo + BLOCK_SAMPLES] for c in columns])
-            fh.write("".join(row % tuple(values) for values in block.tolist()))
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def parse_angle(token: str) -> float:
-    """A finite float literal, optionally using pi: 'pi', '2*pi', 'pi/4', '3*pi/2'."""
+    """A finite float literal, optionally using pi and a sign: 'pi', '+2*pi',
+    'pi/4', '-3*pi/2'."""
     tok = token.strip().replace(" ", "")
     try:
         value = float(tok)
     except ValueError:
-        sign, tok = (-1.0, tok[1:]) if tok.startswith("-") else (1.0, tok)
+        sign = -1.0 if tok.startswith("-") else 1.0
+        tok = tok[1:] if tok.startswith(("-", "+")) else tok
         num, _, den = tok.partition("/")
         coef, _, tail = num.rpartition("*")
         if tail != "pi":
@@ -223,8 +227,8 @@ def _cmd_evolve(args) -> int:
     res = np.empty((len(traj.times), 4))
     for lo in range(0, len(res), BLOCK_SAMPLES):
         hi = min(lo + BLOCK_SAMPLES, len(res))
-        h = np.stack([traj.h_at(i) for i in range(lo, hi)])
-        f = np.stack([traj.f_at(i) for i in range(lo, hi)])
+        h = np.array([traj.h_at(i) for i in range(lo, hi)])
+        f = np.array([traj.f_at(i) for i in range(lo, hi)])
         res[lo:hi] = np.column_stack(qbe.drifts(h, f, traj.system.k, *invariants))
     header = (
         ["t"]

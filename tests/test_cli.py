@@ -203,11 +203,51 @@ def test_time_grid_not_whole_steps_exits_2(tmp_path, argv):
     assert not out.exists()
 
 
+def _reference_mismatch(got: bytes) -> str:
+    """Why `got` may differ from the reference report: each `checks` entry
+    that differs, by name, and the numpy build of this process, which the
+    child inherits.  The BLAS kernel and numpy's SIMD level move residuals in
+    their last digits, so the reference bytes hold on one build only."""
+    want = json.loads(REFERENCE.read_bytes())["checks"]
+    try:
+        checks = json.loads(got)["checks"]
+    except (ValueError, KeyError):
+        checks = {}
+    lines = [f"  {name}: {checks.get(name)}, reference {want.get(name)}"
+             for name in sorted(want.keys() | checks.keys()) if checks.get(name) != want.get(name)]
+    config = np.show_config(mode="dicts")
+    simd = config["SIMD Extensions"]
+    return "\n".join([
+        f"report-all --seed 7 differs from {REFERENCE.name} in these checks:",
+        *(lines or ["  none: the difference lies outside `checks`"]),
+        f"numpy {np.__version__}",
+        f"BLAS {config['Build Dependencies']['blas']}, "
+        f"OPENBLAS_CORETYPE={os.environ.get('OPENBLAS_CORETYPE')}",
+        f"SIMD baseline {simd['baseline']}, dispatched {simd['found']}",
+    ])
+
+
 def test_report_all_matches_reference_bytes(tmp_path):
     out = tmp_path / "report-all.json"
     res = run_cli("report-all", "--seed", "7", "--out", str(out))
     assert res.returncode == 0, res.stderr
-    assert out.read_bytes() == REFERENCE.read_bytes()
+    assert out.read_bytes() == REFERENCE.read_bytes(), _reference_mismatch(out.read_bytes())
+
+
+def test_reference_mismatch_names_the_check_and_the_build():
+    report = json.loads(REFERENCE.read_bytes())
+    report["checks"]["diagonalization"]["residual"] = 1.7763568394002505e-15
+    message = _reference_mismatch(cli.render_json(report).encode())
+    named = [line for line in message.splitlines() if line.startswith("  ")]
+    assert len(named) == 1 and named[0].startswith("  diagonalization: ")
+    assert "1.7763568394002505e-15" in named[0]
+    assert f"numpy {np.__version__}" in message
+    assert "BLAS {" in message and "SIMD baseline" in message
+    report = json.loads(REFERENCE.read_bytes())
+    report["seed"] = 8
+    assert "  none: the difference lies outside" in _reference_mismatch(
+        cli.render_json(report).encode())
+    assert len(_reference_mismatch(b"{").splitlines()) == 4 + len(report["checks"])
 
 
 MASS_MOMENTUM = ["--m", "1", "--px", "1", "--py", "1", "--pz", "1"]
@@ -391,6 +431,8 @@ def test_parse_angle_values():
     assert cli.parse_angle("2*pi") == math.pi * 2.0
     assert cli.parse_angle("pi/4") == math.pi / 4.0
     assert cli.parse_angle("-3*pi/2") == -(math.pi * 3.0 / 2.0)
+    assert cli.parse_angle("+pi") == math.pi
+    assert cli.parse_angle("+pi/2") == math.pi / 2.0
     assert cli.parse_angle("pi/inf") == 0.0
 
 

@@ -365,6 +365,24 @@ def test_flow_is_bit_exact_at_any_step(sys_, step):
     assert traj.coeffs.tobytes() == _reference_coeffs(sys_, step, steps).tobytes()
 
 
+@EXACTNESS
+@given(sys_=st.one_of(_MAJORANA, _ANGMOM), step=st.sampled_from([1e-3, 1e-2, 5e-2]))
+def test_each_row_rebuild_equals_its_block_row(sys_, step):
+    # h_at and f_at rebuild one row by a 1-D product, blocks() a block by a
+    # 2-D one: every row must carry the same bits either way.
+    full = integrate_qbe(sys_, BLOCK_SAMPLES * step, step)
+    for rows in (1, BLOCK_SAMPLES, BLOCK_SAMPLES + 1):
+        traj = replace(full, times=full.times[:rows], coeffs=full.coeffs[:rows])
+        seen = 0
+        for lo, h, f in traj.blocks():
+            for j in range(len(h)):
+                row_h, row_f = traj.h_at(lo + j), traj.f_at(lo + j)
+                assert row_h.shape == row_f.shape == (4, 4)
+                assert row_h.tobytes() == h[j].tobytes() and row_f.tobytes() == f[j].tobytes()
+            seen += len(h)
+        assert seen == rows
+
+
 def _evolve_drifts(traj, sys_, i):
     """The four drifts of sample i by the arithmetic evolve once used for its
     CSV columns, before it called drifts: the reference."""
