@@ -15,6 +15,7 @@ import math
 import os
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -118,9 +119,9 @@ def parse_angle(token: str) -> float:
     except ValueError:
         sign = -1.0 if tok.startswith("-") else 1.0
         tok = tok[1:] if tok.startswith(("-", "+")) else tok
-        num, _, den = tok.partition("/")
-        coef, _, tail = num.rpartition("*")
-        if tail != "pi":
+        num, slash, den = tok.partition("/")
+        coef, star, tail = num.rpartition("*")
+        if tail != "pi" or (star and not coef) or (slash and not den):
             raise ValueError(f"cannot parse angle {token!r}")
         value = sign * math.pi * (float(coef) if coef else 1.0)
         divisor = float(den) if den else 1.0
@@ -352,15 +353,13 @@ def _check_diagonalization(rng) -> list[tuple[str, float, float]]:
 def _check_propagator(rng) -> list[tuple[str, float, float]]:
     frame = propagate.majorana_eigenframe(1.0, (1.0, 1.0, 1.0))
     u = propagate.propagator(frame)
-    residuals = []
-    for _ in range(20):
-        t, s, r = rng.uniform(-2, 2, 3)
-        ph = np.exp(-2j * frame.energy * (t - s))
-        residuals += [
-            max_abs(u(t, s) - np.diag([ph, ph, 1, 1])),
-            max_abs(u(t, s) @ u(t, s).conj().T - np.eye(4)),
-            max_abs(u(t, s) @ u(s, r) - u(t, r)),
-        ]
+    t, s, r = rng.uniform(-2, 2, (20, 3)).T  # 20 (t, s, r) triples, drawn row by row
+    ph = np.exp(-2j * frame.energy * (t - s))
+    residuals = [
+        max_abs(u(t, s) - np.eye(4) * np.column_stack([ph, ph, np.ones((20, 2))])[:, None]),
+        max_abs(u(t, s) @ u(t, s).conj().swapaxes(-1, -2) - np.eye(4)),
+        max_abs(u(t, s) @ u(s, r) - u(t, r)),
+    ]
     return [("propagator", worst(residuals), 1e-10)]
 
 
@@ -410,12 +409,11 @@ def _check_trace_projection(rng) -> list[tuple[str, float, float]]:
 
 def _check_angmom(rng) -> list[tuple[str, float, float]]:
     _, _, report = _conservation(rng, 2.0, 1e-3)
-    pairs = [(rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3)) for _ in range(50)]
-    inv = [abs(angmom4.angmom_invariant(n, l) - 2 * (n @ n + l @ l)) for n, l in pairs]
+    inv = [abs(angmom4.angmom_invariant(n, l) - 2 * (n @ n + l @ l))
+           for n, l in rng.uniform(-2, 2, (50, 2, 3))]
 
     block = []
-    for _ in range(10):
-        nx, lyz, t = rng.uniform(-2, 2, 3)
+    for nx, lyz, t in rng.uniform(-2, 2, (10, 3)):
         u = angmom4.block_propagator(nx, lyz, t)
         rot = angmom4.flow(angmom4.assemble_tensor((nx, 0, 0), (-lyz, 0, 0)), [t])[0].real
         block += [max_abs(u - rot), max_abs(u.T @ u - np.eye(4))]
@@ -460,10 +458,9 @@ def _check_frames(rng) -> list[tuple[str, float, float]]:
         residuals.extend(frames.check_frame_equivalence(case)["residuals"].values())
 
     # Negative control: an unevolved partner must be rejected.
-    v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    v = v / np.linalg.norm(v)
-    bad = frames.FrameCase(v=v, w=v, t=0.7, m=1.0, p=(1.0, 1.0, 1.0), energy=math.sqrt(1.0 + 3.0))
-    control = frames.check_frame_equivalence(bad)
+    case = frames.make_frame_case(rng.normal(size=4) + 1j * rng.normal(size=4), 0.7, 1.0,
+                                  (1.0, 1.0, 1.0))
+    control = frames.check_frame_equivalence(replace(case, w=case.v))
     return [
         ("frames_identities", worst(residuals), 1e-10),
         ("frames_negative_control", 0.0 if control["verdict"] == "FAIL" else math.inf, 1e-12),

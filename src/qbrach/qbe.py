@@ -64,7 +64,7 @@ def assemble_constraint(f_span: list[Label], lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (len(f_span),):
         raise QbeError(f"expected {len(f_span)} coefficients, got {lam.shape}")
-    return np.dot(lam, _span_basis(tuple(f_span))).reshape(4, 4)
+    return np.dot(lam, _span(tuple(f_span))[1]).reshape(4, 4)
 
 
 def trace_project_rhs(h: np.ndarray, f: np.ndarray, g: np.ndarray) -> complex:
@@ -149,17 +149,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _span_basis(labels: tuple[Label, ...]) -> np.ndarray:
-    """The basis matrices of `labels`, flattened, as the rows of one (k, 16)
-    array."""
-    return _frozen(np.stack([kron_matrix(lab).ravel() for lab in labels]))
-
-
-@functools.cache
-def _span_columns(which: tuple[Label, ...]) -> np.ndarray:
-    """The position of each label of `which` in traceless_labels()."""
-    labels = traceless_labels()
-    return _frozen(np.array([labels.index(lab) for lab in which]))
+def _span(labels: tuple[Label, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(columns, basis) of `labels`: the position of each label in
+    traceless_labels(), and their basis matrices, flattened, as rows of a (k, 16) array."""
+    order = traceless_labels()
+    return (_frozen(np.array([order.index(lab) for lab in labels])),
+            _frozen(np.stack([kron_matrix(lab).ravel() for lab in labels])))
 
 
 @dataclass(frozen=True)
@@ -177,9 +172,9 @@ class Trajectory:
         """sum_a c_a(t_i) Y_a over the labels `which`, for the samples i that
         `rows` selects from `coeffs`: a (k, 4, 4) stack for a slice, one 4x4
         matrix for an integer, rebuilt from a view of its row by a 1-D product."""
-        c, cols = self.coeffs[rows], _span_columns(which)
+        c, (cols, basis) = self.coeffs[rows], _span(which)
         c = c[cols] if c.ndim == 1 else c[:, cols]  # c[..., cols] is slower by 0.65 us a row
-        return c.dot(_span_basis(which)).reshape(c.shape[:-1] + (4, 4))
+        return c.dot(basis).reshape(c.shape[:-1] + (4, 4))
 
     def blocks(self):
         """(lo, H, F) for consecutive blocks of at most BLOCK_SAMPLES samples,
@@ -215,7 +210,7 @@ def integrate_qbe(sys: BrachSystem, t_end: float, step: float) -> Trajectory:
         raise QbeError(f"t_end / step = {ratio!r} is not an integer number of steps")
 
     labels = tuple(traceless_labels())
-    flat = _span_basis(labels)
+    flat = _span(labels)[1]
     masks = np.array([[lab in span for lab in labels] for span in (sys.h_span, sys.f_span)],
                      dtype=float)
     # H and F of a stage as one product c @ basis: row a of basis is

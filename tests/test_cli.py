@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qbrach import angmom4, cli, qbe
-from qbrach.matcore import BLOCK_SAMPLES, MAX_SAMPLES
+from qbrach import angmom4, cli, frames, propagate, qbe
+from qbrach.matcore import BLOCK_SAMPLES, MAX_SAMPLES, max_abs, worst
 
 CLI = [sys.executable, "-m", "qbrach.cli"]
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "report-all-seed7.json"
@@ -250,6 +250,74 @@ def test_reference_mismatch_names_the_check_and_the_build():
     assert len(_reference_mismatch(b"{").splitlines()) == 4 + len(report["checks"])
 
 
+# report-all's propagator, angmom and frames checks as they were written
+# before they drew arrays, one draw per loop pass: the references the
+# rewritten checks must equal, residual bits and rng state included.
+
+def _reference_check_propagator(rng):
+    frame = propagate.majorana_eigenframe(1.0, (1.0, 1.0, 1.0))
+    u = propagate.propagator(frame)
+    residuals = []
+    for _ in range(20):
+        t, s, r = rng.uniform(-2, 2, 3)
+        ph = np.exp(-2j * frame.energy * (t - s))
+        residuals += [
+            max_abs(u(t, s) - np.diag([ph, ph, 1, 1])),
+            max_abs(u(t, s) @ u(t, s).conj().T - np.eye(4)),
+            max_abs(u(t, s) @ u(s, r) - u(t, r)),
+        ]
+    return [("propagator", worst(residuals), 1e-10)]
+
+
+def _reference_check_angmom(rng):
+    _, _, report = cli._conservation(rng, 2.0, 1e-3)
+    pairs = [(rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3)) for _ in range(50)]
+    inv = [abs(angmom4.angmom_invariant(n, l) - 2 * (n @ n + l @ l)) for n, l in pairs]
+    block = []
+    for _ in range(10):
+        nx, lyz, t = rng.uniform(-2, 2, 3)
+        u = angmom4.block_propagator(nx, lyz, t)
+        rot = angmom4.flow(angmom4.assemble_tensor((nx, 0, 0), (-lyz, 0, 0)), [t])[0].real
+        block += [max_abs(u - rot), max_abs(u.T @ u - np.eye(4))]
+    return [
+        ("angmom_conservation", worst(report[k] for k in cli.DRIFT_KEYS[:3]), 1e-8),
+        ("angmom_invariant", worst(inv), 1e-12),
+        ("angmom_block_propagator", worst(block), 1e-12),
+    ]
+
+
+def _reference_check_frames(rng):
+    residuals = []
+    for _ in range(10):
+        v = rng.normal(size=4) + 1j * rng.normal(size=4)
+        t = rng.uniform(0.1, 3.0)
+        case = frames.make_frame_case(v, t, 1.0, (1.0, 1.0, 1.0))
+        residuals.extend(frames.check_frame_equivalence(case)["residuals"].values())
+    v = rng.normal(size=4) + 1j * rng.normal(size=4)
+    v = v / np.linalg.norm(v)
+    bad = frames.FrameCase(v=v, w=v, t=0.7, m=1.0, p=(1.0, 1.0, 1.0), energy=math.sqrt(1.0 + 3.0))
+    control = frames.check_frame_equivalence(bad)
+    return [
+        ("frames_identities", worst(residuals), 1e-10),
+        ("frames_negative_control", 0.0 if control["verdict"] == "FAIL" else math.inf, 1e-12),
+    ]
+
+
+@pytest.mark.parametrize("check, reference, seeds", [
+    (cli._check_propagator, _reference_check_propagator, range(50)),
+    (cli._check_angmom, _reference_check_angmom, range(3)),
+    (cli._check_frames, _reference_check_frames, range(50)),
+], ids=["propagator", "angmom", "frames"])
+def test_report_check_equals_its_per_draw_loop(check, reference, seeds):
+    for seed in seeds:
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = check(rng), reference(ref_rng)
+        assert got == want
+        assert [r.hex() for _, r, _ in got] == [r.hex() for _, r, _ in want]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert rng.uniform() == ref_rng.uniform()
+
+
 MASS_MOMENTUM = ["--m", "1", "--px", "1", "--py", "1", "--pz", "1"]
 
 # A valid argument list per subcommand that takes float options.
@@ -413,6 +481,11 @@ def test_compton_angle_outside_range_exits_2(capsys, tmp_path):
     ("0:inf:4", "angle 'inf' is not finite"),
     ("-inf:pi:4", "angle '-inf' is not finite"),
     ("nan:pi:4", "angle 'nan' is not finite"),
+    # A '*' without its coefficient or a '/' without its denominator once read as 1.
+    ("*pi:pi:4", "cannot parse angle '*pi'"),
+    ("-*pi:pi:4", "cannot parse angle '-*pi'"),
+    ("0:pi/:4", "cannot parse angle 'pi/'"),
+    ("0:2*pi/:4", "cannot parse angle '2*pi/'"),
 ])
 def test_degenerate_angle_grid_exits_2(capsys, tmp_path, grid, message):
     # pi/0 once ended in a ZeroDivisionError traceback, and inf and 1e400*pi

@@ -26,7 +26,7 @@ from qbrach.qbe import (
     initial_invariants,
     integrate_qbe,
     majorana_system,
-    _span_basis,
+    _span,
     trace_project_rhs,
 )
 
@@ -265,15 +265,19 @@ def test_non_finite_matrix_gives_nan_only_in_its_row(generic_flow, entry, bad, w
 
 
 def test_span_basis_cannot_be_written(generic_flow):
+    # Both cached arrays of a span, its columns and its basis, are shared by
+    # every rebuild: neither may be written or made writeable again.
     _, traj = generic_flow
-    before = traj.h_at(7).tobytes()
-    basis = _span_basis(traj.system.h_span)
-    with pytest.raises(ValueError):
-        basis[0, 0] = 99.0
-    with pytest.raises(ValueError):
-        basis.flags.writeable = True
-    assert _span_basis(traj.system.h_span) is basis
-    assert traj.h_at(7).tobytes() == before
+    for which, rebuild in ((traj.system.h_span, traj.h_at), (traj.system.f_span, traj.f_at)):
+        before = rebuild(7).tobytes()
+        span = _span(which)
+        for array in span:
+            with pytest.raises(ValueError):
+                array[0] = 1
+            with pytest.raises(ValueError):
+                array.flags.writeable = True
+        assert all(again is cached for again, cached in zip(_span(which), span, strict=True))
+        assert rebuild(7).tobytes() == before
 
 
 # The einsum right-hand side and the RK4 loop of integrate_qbe before its

@@ -8,7 +8,7 @@
 # lists the differing files if any pair differs, or if report-all --seed 7
 # of CHANGE_TREE differs from <CHANGE_TREE>/bench/reference/report-all-seed7.json.
 # The outputs stay in a new directory under ${TMPDIR:-/tmp}, named at the end.
-set -u
+set -u -f  # -f: a '*' in a command is part of an angle, not a file pattern
 [ $# -eq 2 ] || { echo "usage: $0 PARENT_TREE CHANGE_TREE" >&2; exit 2; }
 work=$(mktemp -d)
 mp=(--m 1 --px 1 --py 1 --pz 1)
@@ -26,6 +26,9 @@ for r in majorana dirac; do cmds+=("classify-mass --rep $r ${mp[*]} --out classi
 for r in gamma majorana; do
   cmds+=("compton --rep $r --m 1 --omega1 1 --theta-grid 0:pi:300 --out compton-$r.csv")
 done
+# Accepted angle forms: signed literals, and coefficients and fractions of pi.
+cmds+=("compton --rep gamma --m 1 --omega1 1 --theta-grid=-0:+pi:17 --out compton-signed.csv"
+       "compton --rep majorana --m 1 --omega1 1 --theta-grid=pi/4:3*pi/4:9 --out compton-pi.csv")
 for r in majorana dirac gamma; do cmds+=("verify-algebra --rep $r --out algebra-$r.json"); done
 for m in 1 1e3; do cmds+=("frames --m $m --px 1 --py 1 --pz 1 --t 0.7 --out frames-$m.json"); done
 # frames at the pivoted frame (p_y = m = 0), at a long time and at another seed.
