@@ -62,8 +62,6 @@ def render_json(obj, indent: int = 0) -> str:
         return render_json(obj.tolist(), indent)
     if isinstance(obj, str):
         return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    if obj is None:
-        return "null"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -111,8 +109,8 @@ def _write_csv(path: str, header: list[str], *columns: np.ndarray) -> None:
 
 
 def parse_angle(token: str) -> float:
-    """A finite float literal, optionally using pi and a sign: 'pi', '+2*pi',
-    'pi/4', '-3*pi/2'."""
+    """A finite float literal, or [sign][coef*]pi[/den] with one leading sign and
+    coef and den unsigned float literals: 'pi', '+2*pi', 'pi/4', '-3*pi/2'."""
     tok = token.strip().replace(" ", "")
     try:
         value = float(tok)
@@ -121,10 +119,13 @@ def parse_angle(token: str) -> float:
         tok = tok[1:] if tok.startswith(("-", "+")) else tok
         num, slash, den = tok.partition("/")
         coef, star, tail = num.rpartition("*")
-        if tail != "pi" or (star and not coef) or (slash and not den):
-            raise ValueError(f"cannot parse angle {token!r}")
-        value = sign * math.pi * (float(coef) if coef else 1.0)
-        divisor = float(den) if den else 1.0
+        try:
+            if tail != "pi" or any(s[:1] in "+-" for s, on in ((coef, star), (den, slash)) if on):
+                raise ValueError  # a signed part, or a missing one: '' in '+-' too
+            value = sign * math.pi * (float(coef) if star else 1.0)
+            divisor = float(den) if slash else 1.0
+        except ValueError:
+            raise ValueError(f"cannot parse angle {token!r}") from None
         value = value / divisor if divisor else math.inf  # x / 0 is not finite
     if not math.isfinite(value):
         raise ValueError(f"angle {token!r} is not finite")
@@ -145,7 +146,10 @@ def parse_grid(spec: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError(f"grid must be start:end:count, got {spec!r}")
     start, end = parse_angle(parts[0]), parse_angle(parts[1])
-    count = int(parts[2])
+    try:
+        count = int(parts[2])
+    except ValueError:
+        raise ValueError(f"grid count must be an integer, got {parts[2]!r}") from None
     if count < 2:
         raise ValueError("grid count must be at least 2")
     return _sample_grid(start, end, count)
@@ -160,8 +164,8 @@ COMPTON_KEYS = ("residual_energy", "residual_compton", "residual_matrix",
 
 # The drifts angmom-conserve gates.  report-all's angmom_conservation gates
 # the first three: the tensor, the constraint and the energy budget.
-DRIFT_KEYS = ("hamiltonian_drift", "constraint_conjugation_residual", "isotropic_drift",
-              "cross_trace_drift", "total_square_drift", "spectrum_drift")
+DRIFT_KEYS = ("hamiltonian_drift", "constraint_conjugation_residual",
+              *(f"{name}_drift" for name in qbe.DRIFTS))
 
 
 def _spinor_rep(name: str):
@@ -231,11 +235,8 @@ def _cmd_evolve(args) -> int:
         h = np.array([traj.h_at(i) for i in range(lo, hi)])
         f = np.array([traj.f_at(i) for i in range(lo, hi)])
         res[lo:hi] = np.column_stack(qbe.drifts(h, f, traj.system.k, *invariants))
-    header = (
-        ["t"]
-        + [f"c_{i}{j}" for i, j in traceless_labels()]
-        + ["res_isotropic", "res_cross_trace", "res_total_square", "res_spectrum"]
-    )
+    header = (["t"] + [f"c_{i}{j}" for i, j in traceless_labels()]
+              + [f"res_{name}" for name in qbe.DRIFTS])
     _write_csv(args.out, header, traj.times, traj.coeffs, res)
     print(f"evolve: wrote {len(res)} samples to {args.out}")
     return 0
@@ -341,9 +342,7 @@ def _check_algebra(rng) -> list[tuple[str, float, float]]:
 
 def _check_diagonalization(rng) -> list[tuple[str, float, float]]:
     residuals = []
-    for _ in range(20):
-        m = rng.uniform(0.1, 3.0)
-        p = rng.uniform(-3.0, 3.0, 3)
+    for m, *p in rng.uniform([0.1, -3.0, -3.0, -3.0], 3.0, (20, 4)):  # (m, p) per row
         frame = propagate.majorana_eigenframe(m, p)
         h = build_majorana().hamiltonian(m, p)
         residuals.append(max_abs(frame.w_inv @ h @ frame.w - frame.d))
@@ -425,7 +424,7 @@ def _check_angmom(rng) -> list[tuple[str, float, float]]:
 
 
 def _check_compton(rng) -> list[tuple[str, float, float]]:
-    cases = [(1.0, 1.0)] + [tuple(rng.uniform(0.2, 3.0, 2)) for _ in range(5)]
+    cases = [(1.0, 1.0), *rng.uniform(0.2, 3.0, (5, 2))]
     thetas = np.linspace(0.0, math.pi, 16)
     return [(f"compton_{tag}",
              worst(np.concatenate([_compton(m, w1, thetas, rep)[1] for m, w1 in cases])),
@@ -435,10 +434,8 @@ def _check_compton(rng) -> list[tuple[str, float, float]]:
 
 def _check_phase_anticom(rng) -> list[tuple[str, float, float]]:
     residuals = []
-    for _ in range(50):
-        p = rng.uniform(-2, 2, 3)
-        q = rng.uniform(-2, 2, 3)
-        th = rng.uniform(-math.pi, math.pi)
+    for row in rng.uniform([-2] * 6 + [-math.pi], [2] * 6 + [math.pi], (50, 7)):
+        p, q, th = row[:3], row[3:6], row[6]
         lhs = 0.5 * anticommutator(scatter.block_momentum(p, th), scatter.block_momentum(q, 0.0))
         lhs2 = 0.5 * anticommutator(scatter.majorana_momentum_matrix(p, th),
                                     scatter.majorana_momentum_matrix(q, 0.0))

@@ -68,7 +68,7 @@ def compton_omega2(m: float, omega1: float, theta):
 def _generators(rep: str):
     if rep == "majorana":
         maj = build_majorana()
-        return 1j * maj.beta, maj.alpha[0], maj.alpha[1]
+        return maj.mass_gen, maj.alpha[0], maj.alpha[1]
     gt, gx, gy, _ = build_gamma_scatter()
     return gt, gx, gy
 

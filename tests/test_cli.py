@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qbrach import angmom4, cli, frames, propagate, qbe
-from qbrach.matcore import BLOCK_SAMPLES, MAX_SAMPLES, max_abs, worst
+from qbrach import angmom4, cli, frames, propagate, qbe, scatter
+from qbrach.cliffrep import build_majorana
+from qbrach.matcore import BLOCK_SAMPLES, MAX_SAMPLES, anticommutator, max_abs, worst
 
 CLI = [sys.executable, "-m", "qbrach.cli"]
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "report-all-seed7.json"
@@ -250,9 +251,20 @@ def test_reference_mismatch_names_the_check_and_the_build():
     assert len(_reference_mismatch(b"{").splitlines()) == 4 + len(report["checks"])
 
 
-# report-all's propagator, angmom and frames checks as they were written
-# before they drew arrays, one draw per loop pass: the references the
-# rewritten checks must equal, residual bits and rng state included.
+# report-all's checks as they were written before they drew arrays, one draw
+# per loop pass: the references the rewritten checks must equal, residual
+# bits and rng state included.
+
+def _reference_check_diagonalization(rng):
+    residuals = []
+    for _ in range(20):
+        m = rng.uniform(0.1, 3.0)
+        p = rng.uniform(-3.0, 3.0, 3)
+        frame = propagate.majorana_eigenframe(m, p)
+        h = build_majorana().hamiltonian(m, p)
+        residuals.append(max_abs(frame.w_inv @ h @ frame.w - frame.d))
+    return [("diagonalization", worst(residuals), 1e-10)]
+
 
 def _reference_check_propagator(rng):
     frame = propagate.majorana_eigenframe(1.0, (1.0, 1.0, 1.0))
@@ -303,11 +315,39 @@ def _reference_check_frames(rng):
     ]
 
 
+def _reference_check_compton(rng):
+    cases = [(1.0, 1.0)] + [tuple(rng.uniform(0.2, 3.0, 2)) for _ in range(5)]
+    thetas = np.linspace(0.0, math.pi, 16)
+    return [(f"compton_{tag}",
+             worst(np.concatenate([cli._compton(m, w1, thetas, rep)[1] for m, w1 in cases])),
+             1e-12)
+            for rep, tag in (("gamma_scatter", "gamma"), ("majorana", "majorana"))]
+
+
+def _reference_check_phase_anticom(rng):
+    residuals = []
+    for _ in range(50):
+        p = rng.uniform(-2, 2, 3)
+        q = rng.uniform(-2, 2, 3)
+        th = rng.uniform(-math.pi, math.pi)
+        lhs = 0.5 * anticommutator(scatter.block_momentum(p, th), scatter.block_momentum(q, 0.0))
+        lhs2 = 0.5 * anticommutator(scatter.majorana_momentum_matrix(p, th),
+                                    scatter.majorana_momentum_matrix(q, 0.0))
+        residuals += [
+            max_abs(lhs - scatter.phased_anticommutator_block(p, q, th)),
+            max_abs(lhs2 - scatter.majorana_phased_dot(p, q, th) * np.eye(4)),
+        ]
+    return [("phase_anticommutators", worst(residuals), 1e-12)]
+
+
 @pytest.mark.parametrize("check, reference, seeds", [
+    (cli._check_diagonalization, _reference_check_diagonalization, range(50)),
     (cli._check_propagator, _reference_check_propagator, range(50)),
     (cli._check_angmom, _reference_check_angmom, range(3)),
+    (cli._check_compton, _reference_check_compton, range(20)),
+    (cli._check_phase_anticom, _reference_check_phase_anticom, range(50)),
     (cli._check_frames, _reference_check_frames, range(50)),
-], ids=["propagator", "angmom", "frames"])
+], ids=["diagonalization", "propagator", "angmom", "compton", "phase_anticom", "frames"])
 def test_report_check_equals_its_per_draw_loop(check, reference, seeds):
     for seed in seeds:
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -486,6 +526,11 @@ def test_compton_angle_outside_range_exits_2(capsys, tmp_path):
     ("-*pi:pi:4", "cannot parse angle '-*pi'"),
     ("0:pi/:4", "cannot parse angle 'pi/'"),
     ("0:2*pi/:4", "cannot parse angle '2*pi/'"),
+    # A sign inside a token once parsed, and a malformed coefficient or
+    # denominator once gave float()'s message about a fragment of it.
+    *((f"0:{tok}:4", f"cannot parse angle '{tok}'") for tok in (
+        "--2*pi", "-+2*pi", "+-2*pi", "pi/-2", "2*pi/-4", "-pi/-2", "pi/2/3", "2**pi", "a*pi")),
+    ("0:pi:4.5", "grid count must be an integer, got '4.5'"),
 ])
 def test_degenerate_angle_grid_exits_2(capsys, tmp_path, grid, message):
     # pi/0 once ended in a ZeroDivisionError traceback, and inf and 1e400*pi

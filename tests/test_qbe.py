@@ -27,6 +27,7 @@ from qbrach.qbe import (
     integrate_qbe,
     majorana_system,
     _span,
+    _spectra,
     trace_project_rhs,
 )
 
@@ -262,6 +263,19 @@ def test_non_finite_matrix_gives_nan_only_in_its_row(generic_flow, entry, bad, w
     assert not np.isnan(stacked[others]).any()
     assert stacked[others].tobytes() == rows[others].tobytes()
     assert np.array_equal(stacked[2], rows[2], equal_nan=True)
+
+
+@pytest.mark.parametrize("rows", [0, 5000, slice(0, 1), slice(0, BLOCK_SAMPLES), slice(7, 900, 3)])
+def test_spectra_of_finite_matrices_equal_eigvalsh(generic_flow, rows):
+    # _spectra masks every stack; on all-finite matrices it must give the
+    # bytes of a direct eigvalsh call, for one matrix, a stack and a
+    # non-contiguous view of a stack.
+    _, traj = generic_flow
+    a = traj._stack(traj.system.h_span, rows) + traj._stack(traj.system.f_span, rows)
+    herm = np.random.default_rng(5).normal(size=(9, 4, 4, 2)).view(complex)[..., 0]
+    for x in (a, a.swapaxes(-1, -2), herm + herm.conj().swapaxes(-1, -2)):
+        assert x.shape[-2:] == (4, 4) and np.isfinite(x).all()
+        assert _spectra(x).tobytes() == np.linalg.eigvalsh(x).tobytes()
 
 
 def test_span_basis_cannot_be_written(generic_flow):

@@ -26,9 +26,11 @@ for r in majorana dirac; do cmds+=("classify-mass --rep $r ${mp[*]} --out classi
 for r in gamma majorana; do
   cmds+=("compton --rep $r --m 1 --omega1 1 --theta-grid 0:pi:300 --out compton-$r.csv")
 done
-# Accepted angle forms: signed literals, and coefficients and fractions of pi.
+# Accepted angle forms: signed literals, coefficients and fractions of pi, and
+# exponent, decimal and inf parts.
 cmds+=("compton --rep gamma --m 1 --omega1 1 --theta-grid=-0:+pi:17 --out compton-signed.csv"
-       "compton --rep majorana --m 1 --omega1 1 --theta-grid=pi/4:3*pi/4:9 --out compton-pi.csv")
+       "compton --rep majorana --m 1 --omega1 1 --theta-grid=pi/4:3*pi/4:9 --out compton-pi.csv"
+       "compton --rep majorana --m 1 --omega1 1 --theta-grid=pi/inf:1e-1*pi/.5:7 --out compton-parts.csv")
 for r in majorana dirac gamma; do cmds+=("verify-algebra --rep $r --out algebra-$r.json"); done
 for m in 1 1e3; do cmds+=("frames --m $m --px 1 --py 1 --pz 1 --t 0.7 --out frames-$m.json"); done
 # frames at the pivoted frame (p_y = m = 0), at a long time and at another seed.
