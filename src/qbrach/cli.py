@@ -108,33 +108,33 @@ def _write_csv(path: str, header: list[str], *columns: np.ndarray) -> None:
             fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
+_PI_MULTIPLE = re.compile(r"([-+]?)(?:([^-+*/][^*/]*)\*)?pi(?:/([^-+*/][^*/]*))?").fullmatch
+
+
 def parse_angle(token: str) -> float:
     """A finite float literal, or [sign][coef*]pi[/den] with one leading sign and
     coef and den unsigned float literals: 'pi', '+2*pi', 'pi/4', '-3*pi/2'."""
     tok = token.strip().replace(" ", "")
+    match = _PI_MULTIPLE(tok)
     try:
-        value = float(tok)
+        if match is None:
+            value = float(tok)
+        else:
+            sign, coef, den = match.groups()
+            value = (-math.pi if sign == "-" else math.pi) * float(coef or 1.0)
+            divisor = float(den or 1.0)
+            value = value / divisor if divisor else math.inf  # x / 0 is not finite
     except ValueError:
-        sign = -1.0 if tok.startswith("-") else 1.0
-        tok = tok[1:] if tok.startswith(("-", "+")) else tok
-        num, slash, den = tok.partition("/")
-        coef, star, tail = num.rpartition("*")
-        try:
-            if tail != "pi" or any(s[:1] in "+-" for s, on in ((coef, star), (den, slash)) if on):
-                raise ValueError  # a signed part, or a missing one: '' in '+-' too
-            value = sign * math.pi * (float(coef) if star else 1.0)
-            divisor = float(den) if slash else 1.0
-        except ValueError:
-            raise ValueError(f"cannot parse angle {token!r}") from None
-        value = value / divisor if divisor else math.inf  # x / 0 is not finite
+        raise ValueError(f"cannot parse angle {token!r}") from None
     if not math.isfinite(value):
         raise ValueError(f"angle {token!r} is not finite")
     return value
 
 
 def _sample_grid(start: float, end: float, count: int) -> np.ndarray:
-    """np.linspace(start, end, count), refused above MAX_SAMPLES before any
-    allocation."""
+    """np.linspace(start, end, count) for 2 <= count <= MAX_SAMPLES, checked before allocating."""
+    if count < 2:
+        raise ValueError(f"grid count must be at least 2, got {count}")
     if count > MAX_SAMPLES:
         raise ValueError(f"grid count {count} exceeds the cap of {MAX_SAMPLES} samples")
     return np.linspace(start, end, count)
@@ -150,8 +150,6 @@ def parse_grid(spec: str) -> np.ndarray:
         count = int(parts[2])
     except ValueError:
         raise ValueError(f"grid count must be an integer, got {parts[2]!r}") from None
-    if count < 2:
-        raise ValueError("grid count must be at least 2")
     return _sample_grid(start, end, count)
 
 
@@ -511,6 +509,13 @@ def finite_float(token: str) -> float:
     return x
 
 
+def seed(token: str) -> int:
+    """argparse type of every --seed option: a negative seed exits 2."""
+    if int(token) < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {token!r}")
+    return int(token)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The qbrach parser, built on the first call; every later call returns
@@ -555,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("angmom-conserve", _cmd_angmom_conserve,
             help="conservation report along a random flow")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=seed, default=7)
     floats(p, "--t-end", default=5.0)
     floats(p, "--step", default=1e-3)
     p.add_argument("--out")
@@ -568,11 +573,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("frames", _cmd_frames, help="frame-equivalence bilinear identities")
     floats(p, *_MASS_MOMENTUM, "--t", required=True)
-    p.add_argument("--seed", type=int, default=11)
+    p.add_argument("--seed", type=seed, default=11)
     p.add_argument("--out")
 
     p = add("report-all", _cmd_report_all, help="run every acceptance check with a fixed seed")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=seed, default=7)
     p.add_argument("--out", default="report-all.json")
 
     return parser

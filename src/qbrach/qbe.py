@@ -213,16 +213,11 @@ def integrate_qbe(sys: BrachSystem, t_end: float, step: float) -> Trajectory:
         raise QbeError(f"t_end / step = {ratio!r} is not an integer number of steps")
 
     labels = tuple(traceless_labels())
-    flat = _span(labels)[1]
-    masks = np.array([[lab in span for lab in labels] for span in (sys.h_span, sys.f_span)],
-                     dtype=float)
-    # H and F of a stage as one product c @ basis: row a of basis is
-    # mask_H[a] Y_a and then mask_F[a] Y_a, each flattened.  The masks scale
-    # the real and imaginary parts apart, as float products with their signed
-    # zeros; tests/test_qbe.py checks the bits against masking c instead.
-    basis = np.empty((len(labels), 2, 16), dtype=complex)
-    basis.real = masks.T[:, :, None] * flat.real[:, None, :]
-    basis.imag = masks.T[:, :, None] * flat.imag[:, None, :]
+    # H and F of a stage as one product c @ basis: row a of basis is Y_a,
+    # flattened, in the half of its span, and zeros in the other half.
+    basis = np.zeros((len(labels), 2, 16), dtype=complex)
+    for half, (columns, rows) in enumerate(map(_span, (sys.h_span, sys.f_span))):
+        basis[columns, half] = rows
     basis = basis.reshape(len(labels), 32)
 
     a0 = sys.h0 + sys.f0()
@@ -234,7 +229,7 @@ def integrate_qbe(sys: BrachSystem, t_end: float, step: float) -> Trajectory:
     # entry and phase the factor, each as (4 terms, 15 coefficients).  The
     # terms are added in the order of col; tests/test_qbe.py checks the bits
     # against the einsum "ij,aji->a".
-    ys = flat.reshape(-1, 4, 4)
+    ys = _span(labels)[1].reshape(-1, 4, 4)
     lab, col, row = np.nonzero(ys.transpose(0, 2, 1))  # ordered by (lab, col)
     pos = (4 * col + row).reshape(-1, 4).T
     phase = (-1j * ys[lab, row, col]).reshape(-1, 4).T

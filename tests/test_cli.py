@@ -455,6 +455,27 @@ def test_grid_count_above_cap_exits_2(capsys, monkeypatch, tmp_path, command, ar
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    # A negative seed once reached numpy, whose message names no option.
+    *(([command, *argv, "--seed", "-3"],
+       "argument --seed: expected a non-negative integer, got '-3'")
+      for command, argv in (("frames", [*MASS_MOMENTUM, "--t", "0.7"]), ("angmom-conserve", []),
+                            ("report-all", []))),
+    # --samples and --theta-grid's count share one rule; a negative --samples
+    # once gave linspace's message, and 1 classify_mass's.
+    *((["classify-mass", "--rep", "majorana", *MASS_MOMENTUM, "--samples", count],
+       f"grid count must be at least 2, got {count}") for count in ("-5", "0", "1")),
+], ids=["frames-seed", "angmom-conserve-seed", "report-all-seed", "samples--5", "samples-0",
+        "samples-1"])
+def test_bad_integer_input_exits_2_naming_it(capsys, tmp_path, argv, message):
+    out = tmp_path / "out"
+    code, stdout, err = run_main(capsys, *argv, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.splitlines()[-1].endswith(f"error: {message}")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,option,value", [
     (command, option, value)
     for command, argv in VALID_FLOAT_ARGS.items()
@@ -531,6 +552,7 @@ def test_compton_angle_outside_range_exits_2(capsys, tmp_path):
     *((f"0:{tok}:4", f"cannot parse angle '{tok}'") for tok in (
         "--2*pi", "-+2*pi", "+-2*pi", "pi/-2", "2*pi/-4", "-pi/-2", "pi/2/3", "2**pi", "a*pi")),
     ("0:pi:4.5", "grid count must be an integer, got '4.5'"),
+    ("0:pi:1", "grid count must be at least 2, got 1"),
 ])
 def test_degenerate_angle_grid_exits_2(capsys, tmp_path, grid, message):
     # pi/0 once ended in a ZeroDivisionError traceback, and inf and 1e400*pi
@@ -552,6 +574,54 @@ def test_parse_angle_values():
     assert cli.parse_angle("+pi") == math.pi
     assert cli.parse_angle("+pi/2") == math.pi / 2.0
     assert cli.parse_angle("pi/inf") == 0.0
+
+
+def _split_parse_angle(token: str) -> float:
+    """parse_angle as it was before it read one pattern: a sign stripped by
+    hand, then partition and rpartition.  The reference for every token."""
+    tok = token.strip().replace(" ", "")
+    try:
+        value = float(tok)
+    except ValueError:
+        sign = -1.0 if tok.startswith("-") else 1.0
+        tok = tok[1:] if tok.startswith(("-", "+")) else tok
+        num, slash, den = tok.partition("/")
+        coef, star, tail = num.rpartition("*")
+        try:
+            if tail != "pi" or any(s[:1] in "+-" for s, on in ((coef, star), (den, slash)) if on):
+                raise ValueError  # a signed part, or a missing one: '' in '+-' too
+            value = sign * math.pi * (float(coef) if star else 1.0)
+            divisor = float(den) if slash else 1.0
+        except ValueError:
+            raise ValueError(f"cannot parse angle {token!r}") from None
+        value = value / divisor if divisor else math.inf  # x / 0 is not finite
+    if not math.isfinite(value):
+        raise ValueError(f"angle {token!r} is not finite")
+    return value
+
+
+def _angle_outcome(parse, token):
+    """float.hex of the angle, or the message of the ValueError it raises."""
+    try:
+        return parse(token).hex()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+ANGLE_PIECES = st.sampled_from(["pi", "*", "/", "+", "-", *"0123456789", ".", "e", "E", "inf",
+                                "nan", "_", " ", "\t", "\n"])
+# Tokens of freely joined pieces, and tokens near [sign][coef*]pi[/den]:
+# signs and short runs of pieces around its marks, each mark kept or dropped.
+_SIGN, _RUN = st.sampled_from(["", "+", "-"]), st.lists(ANGLE_PIECES, max_size=3).map("".join)
+ANGLE_TOKENS = st.lists(ANGLE_PIECES, max_size=10).map("".join) | st.tuples(
+    _SIGN, _SIGN, _RUN, st.sampled_from(["", "*"]), st.sampled_from(["", "pi"]),
+    st.sampled_from(["", "/"]), _SIGN, _RUN).map("".join)
+
+
+@settings(max_examples=1000)
+@given(ANGLE_TOKENS)
+def test_parse_angle_equals_split_parser(token):
+    assert _angle_outcome(cli.parse_angle, token) == _angle_outcome(_split_parse_angle, token)
 
 
 def test_render_json_float_array_matches_recursive_rendering():
