@@ -1,7 +1,8 @@
 """Spinor representations: Majorana, Dirac-Pauli, and the scattering gamma set.
 
-Each representation bundles beta, the three alpha matrices, the derived
-gamma0 = beta ax ay az and the spin matrices S_i = (1/2)[a_j, a_k] (cyclic).
+Each representation bundles beta, the three alpha matrices and the mass
+generator its builder gives.  gamma0 = beta ax ay az and the spin matrices
+S_i = (1/2)[a_j, a_k] (cyclic) are computed on first read.
 The Majorana set consists of the real integer matrices
 
     beta = [[0,0,1,0],[0,0,0,1],[-1,0,0,0],[0,-1,0,0]]      (= i sigma_y (x) 1)
@@ -10,18 +11,23 @@ The Majorana set consists of the real integer matrices
     a_z  = [[0,1,0,0],[1,0,0,0],[0,0,0,-1],[0,0,-1,0]]       (= sigma_z (x) sigma_x)
 
 Note beta is antisymmetric with beta^2 = -1; the Hermitian mass generator
-is i*beta, and it is the mass generator that squares to the identity.
+is i*beta = -sigma_y (x) 1, and it is the mass generator that squares to the
+identity.  MAJORANA_LABELS lists the Kronecker labels of (i*beta, a_x, a_y, a_z).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .matcore import anticommutator, commutator, kron_matrix, max_abs, pauli, worst
 
 _EYE4 = np.eye(4, dtype=complex)
+
+# Kronecker labels of the Majorana (i*beta, a_x, a_y, a_z); i*beta = -sigma_y (x) 1.
+MAJORANA_LABELS = (("y", "1"), ("z", "z"), ("x", "1"), ("z", "x"))
 
 
 @dataclass(frozen=True)
@@ -31,22 +37,18 @@ class SpinorRep:
     name: str
     beta: np.ndarray
     alpha: tuple[np.ndarray, np.ndarray, np.ndarray]
-    gamma0: np.ndarray = field(init=False)
-    spin: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False)
     # Hermitian generator multiplying the mass in H = m*g + alpha.p.
-    mass_gen: np.ndarray = field(init=False)
+    mass_gen: np.ndarray
 
-    def __post_init__(self):
+    @cached_property
+    def gamma0(self) -> np.ndarray:
         ax, ay, az = self.alpha
-        b = self.beta
-        object.__setattr__(self, "mass_gen", b if max_abs(b - b.conj().T) < 1e-14 else 1j * b)
-        object.__setattr__(self, "gamma0", b @ ax @ ay @ az)
-        spin = (
-            0.5 * commutator(ay, az),
-            0.5 * commutator(az, ax),
-            0.5 * commutator(ax, ay),
-        )
-        object.__setattr__(self, "spin", spin)
+        return self.beta @ ax @ ay @ az
+
+    @cached_property
+    def spin(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        ax, ay, az = self.alpha
+        return 0.5 * commutator(ay, az), 0.5 * commutator(az, ax), 0.5 * commutator(ax, ay)
 
     def hamiltonian(self, m: float, p: np.ndarray) -> np.ndarray:
         """H = m * mass_gen + alpha . p (Hermitian by construction)."""
@@ -69,7 +71,7 @@ def build_majorana() -> SpinorRep:
     az = np.array(
         [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]], dtype=complex
     )
-    return SpinorRep("majorana", beta, (ax, ay, az))
+    return SpinorRep("majorana", beta, (ax, ay, az), 1j * beta)
 
 
 def build_dirac() -> SpinorRep:
@@ -79,7 +81,7 @@ def build_dirac() -> SpinorRep:
     alpha = tuple(
         np.block([[z, pauli(i)], [pauli(i), z]]) for i in ("x", "y", "z")
     )
-    return SpinorRep("dirac", beta, alpha)
+    return SpinorRep("dirac", beta, alpha, beta)
 
 
 def build_gamma_scatter() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -133,16 +135,7 @@ def verify_gamma_algebra() -> dict[str, float]:
 
 
 def kron_decomposition_residual() -> float:
-    """Residual of the Kronecker identification of the Majorana generators.
-
-    beta = i sigma_y (x) 1, a_x = sigma_z (x) sigma_z, a_y = sigma_x (x) 1,
-    a_z = sigma_z (x) sigma_x.
-    """
+    """Residual of the Majorana (i beta, a_x, a_y, a_z) against MAJORANA_LABELS."""
     rep = build_majorana()
-    pairs = [
-        (rep.beta, 1j * kron_matrix(("y", "1"))),
-        (rep.alpha[0], kron_matrix(("z", "z"))),
-        (rep.alpha[1], kron_matrix(("x", "1"))),
-        (rep.alpha[2], kron_matrix(("z", "x"))),
-    ]
-    return worst(max_abs(a - b) for a, b in pairs)
+    gens = (-rep.mass_gen,) + rep.alpha
+    return worst(max_abs(g - kron_matrix(lab)) for g, lab in zip(gens, MAJORANA_LABELS))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cliffrep import build_majorana
-from .matcore import max_abs, worst
+from .matcore import max_abs, pauli, worst
 from .propagate import evolve_hamiltonian, majorana_eigenframe, propagator
 
 
@@ -72,7 +72,7 @@ def check_frame_equivalence(case: FrameCase) -> dict:
 
     a, b = case.v[:2], case.v[2:]
     c, d = case.w[:2], case.w[2:]
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    sx = pauli("x")
 
     def _split(x, y):
         return float(np.real(np.conj(x) @ x - np.conj(y) @ y))

@@ -16,20 +16,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cliffrep import build_majorana
+from .cliffrep import MAJORANA_LABELS, build_majorana
 from .matcore import BLOCK_SAMPLES, commutator, kron_matrix, trace_pair, traceless_labels
 
 Label = tuple[str, str]
 
-# Labels spanning the Majorana Hamiltonian: mass generator i*beta = -sigma_y(x)1,
-# then p_x, p_y, p_z generators.
-MAJORANA_H_SPAN: list[Label] = [("y", "1"), ("z", "z"), ("x", "1"), ("z", "x")]
+# Labels spanning the Majorana Hamiltonian: the mass, then p_x, p_y, p_z generators.
+MAJORANA_H_SPAN: list[Label] = list(MAJORANA_LABELS)
 
-# Labels of the purely imaginary (antisymmetric) Kronecker elements; these
-# span i * (real antisymmetric), the angular-momentum Hamiltonians.
-IMAG_LABELS: list[Label] = [
-    ("1", "y"), ("x", "y"), ("y", "1"), ("y", "x"), ("y", "z"), ("z", "y"),
-]
+# Labels of the purely imaginary (antisymmetric) Kronecker elements, those with
+# exactly one sigma_y; they span i * (real antisymmetric), the angular-momentum
+# Hamiltonians.
+IMAG_LABELS: list[Label] = [lab for lab in traceless_labels() if lab.count("y") == 1]
 
 
 # Most RK4 steps one integration may take; the trajectory holds 15 floats

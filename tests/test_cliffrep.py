@@ -30,6 +30,14 @@ def test_majorana_beta_squares_to_minus_one():
     assert max_abs(g @ g - np.eye(4)) == 0
 
 
+def test_builders_give_the_mass_generator():
+    """i*beta for the Majorana set, whose beta is anti-Hermitian; beta itself
+    for Dirac."""
+    maj, dirac = build_majorana(), build_dirac()
+    assert (1j * maj.beta).tobytes() == maj.mass_gen.tobytes()
+    assert dirac.beta.tobytes() == dirac.mass_gen.tobytes()
+
+
 def test_algebra_residuals_exactly_zero():
     for rep in (build_majorana(), build_dirac()):
         report = verify_algebra(rep)

@@ -32,6 +32,13 @@ from qbrach.qbe import (
 )
 
 
+def test_label_lists_keep_their_order():
+    """The label order sets the summation order of every H and F rebuild, and
+    so the bytes of evolve and angmom-conserve."""
+    assert MAJORANA_H_SPAN == [("y", "1"), ("z", "z"), ("x", "1"), ("z", "x")]
+    assert IMAG_LABELS == [("1", "y"), ("x", "y"), ("y", "1"), ("y", "x"), ("y", "z"), ("z", "y")]
+
+
 def test_complement_span_partitions_traceless_labels():
     comp = complement_span(MAJORANA_H_SPAN)
     assert len(comp) == 11

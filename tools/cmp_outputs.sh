@@ -23,6 +23,11 @@ cmds+=("evolve --m 1.3 --px 0.5 --py -2 --pz 1.25 --t-end 1 --step 1e-4 --out ev
 cmds+=("evolve --m 0.7 --px -1.5 --py 0 --pz 2.25 --t-end=0.256 --step=1e-3 --out evolve-257.csv"
        "evolve --m 0.7 --px -1.5 --py 0 --pz 2.25 --t-end=1e-3 --step=1e-3 --out evolve-2.csv")
 for r in majorana dirac; do cmds+=("classify-mass --rep $r ${mp[*]} --out classify-$r.json"); done
+# At m = 0 each builder's mass generator goes through the zero series of
+# mass_series_from_pairs.
+for r in majorana dirac; do
+  cmds+=("classify-mass --rep $r --m 0 --px 0.5 --py 0 --pz 1 --out classify-$r-m0.json")
+done
 for r in gamma majorana; do
   cmds+=("compton --rep $r --m 1 --omega1 1 --theta-grid 0:pi:300 --out compton-$r.csv")
 done
