@@ -30,7 +30,7 @@ _EYE4 = np.eye(4, dtype=complex)
 MAJORANA_LABELS = (("y", "1"), ("z", "z"), ("x", "1"), ("z", "x"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpinorRep:
     """A named bundle of generator matrices with derived operators."""
 

@@ -27,7 +27,7 @@ def expectation(h: np.ndarray, psi: np.ndarray) -> complex:
     return complex(np.conj(psi) @ (np.asarray(h, dtype=complex) @ psi))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameCase:
     v: np.ndarray
     w: np.ndarray

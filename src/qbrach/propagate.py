@@ -42,7 +42,7 @@ class PropagateError(ValueError):
     """Raised on inconsistent frame/Hamiltonian pairings and unresolving time grids."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenFrame:
     """Eigenvector matrix, its inverse, the diagonal D and the energy E."""
 
@@ -171,7 +171,7 @@ def mass_series_from_pairs(m0: float, c_mass: np.ndarray, c_y: np.ndarray) -> np
     return m0 * z / z[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MassReport:
     """Verdict on the time behaviour of a representation's mass coefficient."""
 

@@ -82,7 +82,7 @@ def check_isotropic(h: np.ndarray, k: float) -> float | np.ndarray:
     return abs(_trace(h @ h).real / 2.0 - k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BrachSystem:
     """Hamiltonian-plus-constraint initial data for the matrix flow.
 
@@ -158,7 +158,7 @@ def _span(labels: tuple[Label, ...]) -> tuple[np.ndarray, np.ndarray]:
             _frozen(np.stack([kron_matrix(lab).ravel() for lab in labels])))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """The flow of `system` sampled on a uniform time grid."""
 

@@ -13,6 +13,9 @@ Majorana representation g_t = i beta and g_i = alpha_i, which satisfy the
 identical algebra, so both embeddings scatter the same way.  Lightlike
 momenta square to zero and expanding p2^2 = (p1 + q1 - q2)^2 yields the
 Compton frequency-shift formula.
+
+The phase-deformed momenta (block_momentum, majorana_momentum_matrix) are
+Kronecker products of a 2x2 phase matrix with p.sigma or with the identity.
 """
 
 from __future__ import annotations
@@ -22,17 +25,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cliffrep import build_gamma_scatter, build_majorana
-from .matcore import BLOCK_SAMPLES, anticommutator, pauli
-
-_EYE4 = np.eye(4, dtype=complex)
+from .cliffrep import MAJORANA_LABELS, build_gamma_scatter, build_majorana
+from .matcore import BLOCK_SAMPLES, anticommutator, kron_matrix, pauli
 
 
 class ScatterError(ValueError):
     """Raised on invalid kinematic input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScatterConfig:
     """One Compton case; theta is one angle or a 1-D array of angles."""
 
@@ -159,45 +160,36 @@ def _residuals(cfg: ScatterConfig) -> dict:
     }
 
 
+def _sigma_dot(v) -> np.ndarray:
+    """v . sigma for a real 3-vector v."""
+    return sum(vi * pauli(i) for vi, i in zip(np.asarray(v, dtype=float), "xyz"))
+
+
 def block_momentum(p, theta: float) -> np.ndarray:
     """Block embedding of a spatial vector with relative phase theta:
-    [[0, -i e^{-i theta} p.sigma], [i e^{+i theta} p.sigma, 0]]."""
-    p = np.asarray(p, dtype=float)
-    psig = sum(pi * pauli(i) for pi, i in zip(p, ("x", "y", "z")))
-    z = np.zeros((2, 2), dtype=complex)
-    return np.block(
-        [[z, -1j * np.exp(-1j * theta) * psig], [1j * np.exp(1j * theta) * psig, z]]
-    )
+    [[0, -i e^{-i theta}], [i e^{+i theta}, 0]] (x) p.sigma."""
+    phases = [[0, -1j * np.exp(-1j * theta)], [1j * np.exp(1j * theta), 0]]
+    return np.kron(phases, _sigma_dot(p))
 
 
 def phased_anticommutator_block(p, q, theta: float) -> np.ndarray:
-    """Closed form of (pq + qp)/2 for block momenta with relative phase theta.
-
-    Equals cos(theta) (p.q) 1 plus the block-diagonal sin(theta) (p x q).sigma
-    cross term, with opposite signs in the two diagonal blocks; at theta = 0
-    it reduces to (p.q) 1."""
+    """Closed form of (pq + qp)/2 for block momenta with relative phase theta:
+    cos(theta) (p.q) 1 + diag(sin(theta), -sin(theta)) (x) (p x q).sigma.
+    At theta = 0 it reduces to (p.q) 1."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    cross = np.cross(p, q)
-    csig = sum(ci * pauli(i) for ci, i in zip(cross, ("x", "y", "z")))
-    z = np.zeros((2, 2), dtype=complex)
-    block = np.block([[np.sin(theta) * csig, z], [z, -np.sin(theta) * csig]])
-    return np.cos(theta) * float(p @ q) * _EYE4 + block
+    block = np.kron(np.diag([np.sin(theta), -np.sin(theta)]), _sigma_dot(np.cross(p, q)))
+    return np.cos(theta) * float(p @ q) * np.eye(4, dtype=complex) + block
 
 
 def majorana_momentum_matrix(p, phi: float) -> np.ndarray:
-    """Majorana momentum matrix with the y-component carrying phase phi."""
+    """Majorana momentum matrix with the y-component carrying phase phi:
+    p_x a_x + p_z a_z + p_y [[0, e^{-i phi}], [e^{i phi}, 0]] (x) 1."""
     px, py, pz = np.asarray(p, dtype=float)
     e = np.exp(-1j * phi)
-    return np.array(
-        [
-            [px, pz, py * e, 0],
-            [pz, -px, 0, py * e],
-            [py / e, 0, -px, -pz],
-            [0, py / e, -pz, px],
-        ],
-        dtype=complex,
-    )
+    _, ax_label, _, az_label = MAJORANA_LABELS
+    y_part = np.kron([[0, py * e], [py / e, 0]], pauli("1"))
+    return px * kron_matrix(ax_label) + pz * kron_matrix(az_label) + y_part
 
 
 def majorana_phased_dot(p, q, phi: float) -> float:

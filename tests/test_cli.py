@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -492,6 +492,45 @@ def test_non_finite_float_exits_2(capsys, tmp_path, command, option, value):
     assert code == 2
     assert f"error: argument {option}: expected a finite number" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+# Every numeric option per subcommand, with the converter its value must pass.
+# --theta-grid's drawn token is the count of a '0:pi:COUNT' grid.
+NUMERIC_OPTIONS = [
+    *((command, option, float) for command, argv in VALID_FLOAT_ARGS.items()
+      for option in argv[::2] if option != "--rep"),
+    *((command, "--seed", int) for command in ("angmom-conserve", "frames", "report-all")),
+    ("classify-mass", "--samples", int),
+    ("compton", "--theta-grid", int),
+]
+NEAR_NUMBERS = st.sampled_from(["", " ", "1.5", "1e", "e3", "0x10", "1,5", "1..0", "+-1", "--1",
+                                "pi", "1/2", "1_", "infinity5", "0b1", "1j"])
+
+
+def _rejects(convert, token) -> bool:
+    try:
+        convert(token)
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("command, option, convert", NUMERIC_OPTIONS,
+                         ids=[f"{c}{o}" for c, o, _ in NUMERIC_OPTIONS])
+@settings(max_examples=15, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(token=st.text(max_size=8) | NEAR_NUMBERS)
+def test_malformed_number_exits_2(capsys, tmp_path, command, option, convert, token):
+    assume(_rejects(convert, token))
+    argv = list(VALID_FLOAT_ARGS.get(command, []))
+    value = f"0:pi:{token}" if option == "--theta-grid" else token
+    if option in argv:
+        at = argv.index(option)
+        del argv[at:at + 2]
+    out = tmp_path / "out"
+    code, stdout, err = run_main(capsys, command, *argv, f"{option}={value}", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert "error: " in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -1,7 +1,9 @@
 """Clifford-relation tests for the built-in spinor representations."""
 
 import numpy as np
+import pytest
 
+from qbrach import frames, propagate, qbe, scatter
 from qbrach.cliffrep import (
     build_dirac,
     build_gamma_scatter,
@@ -87,3 +89,25 @@ def test_spin_z_first_row():
     # antisymmetric and real, like every Majorana spin matrix
     assert max_abs(sz + sz.T) == 0
     assert max_abs(sz.imag) == 0
+
+
+P = (1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("build", [
+    build_majorana,
+    lambda: qbe.majorana_system(1.0, P),
+    lambda: qbe.integrate_qbe(qbe.majorana_system(1.0, P), 0.01, 1e-3),
+    lambda: propagate.majorana_eigenframe(1.0, P),
+    lambda: propagate.classify_mass(build_majorana(), 1.0, P, np.linspace(0.0, 3.0, 300)),
+    lambda: frames.make_frame_case(np.ones(4), 0.7, 1.0, P),
+    lambda: scatter.ScatterConfig(1.0, 1.0, np.array([0.5, 1.0])),
+], ids=["SpinorRep", "BrachSystem", "Trajectory", "EigenFrame", "MassReport", "FrameCase",
+        "ScatterConfig"])
+def test_records_compare_and_hash_by_identity(build):
+    # The generated __eq__ once compared the ndarray fields as a tuple, so ==
+    # and `in` raised "truth value of an array is ambiguous"; hash() raised too.
+    a, b = build(), build()
+    assert (a == b) is False
+    assert a in [b, a]
+    assert len({a, b}) == 2

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qbrach.cliffrep import build_gamma_scatter, build_majorana
-from qbrach.matcore import BLOCK_SAMPLES, anticommutator, commutator, max_abs
+from qbrach.matcore import BLOCK_SAMPLES, anticommutator, commutator, max_abs, pauli
 from qbrach.scatter import (
     ScatterConfig,
     ScatterError,
@@ -195,8 +197,6 @@ def test_phased_block_theta_derivative():
     fd = (phased_anticommutator_block(p, q, h)
           - phased_anticommutator_block(p, q, -h)) / (2 * h)
     cross = np.cross(p, q)
-    from qbrach.matcore import pauli
-
     csig = sum(c * pauli(i) for c, i in zip(cross, ("x", "y", "z")))
     analytic = np.block(
         [[csig, np.zeros((2, 2))], [np.zeros((2, 2)), -csig]]
@@ -220,3 +220,59 @@ def test_majorana_phased_dot_values():
     p = q = np.array([0.0, 1.0, 0.0])
     assert majorana_phased_dot(p, q, 0.0) == pytest.approx(1.0)
     assert majorana_phased_dot(p, q, math.pi) == pytest.approx(-1.0)
+
+
+# The bodies of the three phase-deformed embeddings as they were before they
+# were stated as Kronecker products, kept as their bit-exact references.
+def _reference_block_momentum(p, theta):
+    p = np.asarray(p, dtype=float)
+    psig = sum(pi * pauli(i) for pi, i in zip(p, ("x", "y", "z")))
+    z = np.zeros((2, 2), dtype=complex)
+    return np.block(
+        [[z, -1j * np.exp(-1j * theta) * psig], [1j * np.exp(1j * theta) * psig, z]]
+    )
+
+
+def _reference_phased_anticommutator_block(p, q, theta):
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    cross = np.cross(p, q)
+    csig = sum(ci * pauli(i) for ci, i in zip(cross, ("x", "y", "z")))
+    z = np.zeros((2, 2), dtype=complex)
+    block = np.block([[np.sin(theta) * csig, z], [z, -np.sin(theta) * csig]])
+    return np.cos(theta) * float(p @ q) * np.eye(4, dtype=complex) + block
+
+
+def _reference_majorana_momentum_matrix(p, phi):
+    px, py, pz = np.asarray(p, dtype=float)
+    e = np.exp(-1j * phi)
+    return np.array(
+        [
+            [px, pz, py * e, 0],
+            [pz, -px, 0, py * e],
+            [py / e, 0, -px, -pz],
+            [0, py / e, -pz, px],
+        ],
+        dtype=complex,
+    )
+
+
+COMPONENTS = st.floats(-1e3, 1e3) | st.just(0.0)
+VECTORS = st.tuples(COMPONENTS, COMPONENTS, COMPONENTS)
+ANGLES = st.floats(-2 * math.pi, 2 * math.pi) | st.sampled_from([0.0, math.pi / 2, math.pi])
+
+
+@given(p=VECTORS, q=VECTORS, theta=ANGLES)
+def test_kronecker_embeddings_equal_their_references(p, q, theta):
+    for got, want in [
+        (block_momentum(p, theta), _reference_block_momentum(p, theta)),
+        (phased_anticommutator_block(p, q, theta),
+         _reference_phased_anticommutator_block(p, q, theta)),
+        (majorana_momentum_matrix(p, theta), _reference_majorana_momentum_matrix(p, theta)),
+    ]:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@given(p=VECTORS)
+def test_unphased_majorana_momentum_is_the_massless_hamiltonian(p):
+    assert np.array_equal(majorana_momentum_matrix(p, 0.0), build_majorana().hamiltonian(0.0, p))
