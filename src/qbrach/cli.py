@@ -21,8 +21,8 @@ import numpy as np
 
 from . import angmom4, frames, propagate, qbe, scatter
 from .cliffrep import build_dirac, build_majorana, verify_algebra, verify_gamma_algebra
-from .matcore import (BLOCK_SAMPLES, MAX_SAMPLES, anticommutator, kron_matrix, mat_to_json,
-                      max_abs, traceless_labels, worst)
+from .matcore import (BLOCK_SAMPLES, MAX_SAMPLES, anticommutator, kron_matrix, max_abs,
+                      traceless_labels, worst)
 
 SCHEMA_VERSION = "1"
 OUT_DIR_ENV = "QBRACH_OUT_DIR"
@@ -33,7 +33,9 @@ OUT_DIR_ENV = "QBRACH_OUT_DIR"
 
 
 def render_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON: sorted keys, 17-significant-digit floats."""
+    """Deterministic JSON of a dict, str, int, float or 1-D float array:
+    sorted keys, 17-significant-digit floats, and a non-finite float as the
+    string "nan", "inf" or "-inf".  An array is formatted in one pass."""
     pad = " " * indent
     inner = " " * (indent + 2)
     if isinstance(obj, dict):
@@ -44,35 +46,20 @@ def render_json(obj, indent: int = 0) -> str:
             for k in sorted(obj)
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return str(obj)
+    if isinstance(obj, float):
+        return format(obj, ".17g") if math.isfinite(obj) else f'"{obj}"'
+    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f":
+        if not obj.size:
             return "[]"
-        items = [f"{inner}{render_json(v, indent + 2)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)  # a non-finite value becomes the string "nan", "inf" or "-inf"
-        return format(x, ".17g") if math.isfinite(x) else f'"{x}"'
-    if isinstance(obj, np.ndarray):
-        if obj.ndim == 1 and obj.dtype.kind == "f" and obj.size:
-            return _render_floats(obj, indent)
-        return render_json(obj.tolist(), indent)
+        items = [format(x, ".17g") for x in obj.astype(float).tolist()]
+        for i in np.flatnonzero(~np.isfinite(obj)):
+            items[i] = f'"{items[i]}"'
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     if isinstance(obj, str):
         return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
     raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def _render_floats(values: np.ndarray, indent: int) -> str:
-    """render_json of a non-empty 1-D float array in one pass, without one
-    recursive call per element; the same bytes as rendering values.tolist()."""
-    items = [format(x, ".17g") for x in values.astype(float).tolist()]
-    for i in np.flatnonzero(~np.isfinite(values)):
-        items[i] = f'"{items[i]}"'
-    inner = " " * (indent + 2)
-    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + " " * indent + "]"
 
 
 def _resolve_out(path: str) -> str:
@@ -271,7 +258,7 @@ def _cmd_angmom(args) -> int:
         "nx": args.nx,
         "lyz": args.lyz,
         "t": args.t,
-        "u": mat_to_json(u.astype(complex)),
+        "u": {"dim": len(u), "re": u.real.ravel(), "im": u.imag.ravel()},
         "orthogonality_residual": resid,
     }
     if worst([resid]) < 1e-12:

@@ -111,13 +111,3 @@ def worst(residuals) -> float:
     drops a NaN that does not come first.
     """
     return float(np.max(np.fromiter(residuals, dtype=float)))
-
-
-def mat_to_json(a: np.ndarray) -> dict:
-    """Serialize a matrix as {"dim": n, "re": [...], "im": [...]} row-major."""
-    a = np.asarray(a, dtype=complex)
-    return {
-        "dim": int(a.shape[0]),
-        "re": [float(x) for x in a.real.ravel()],
-        "im": [float(x) for x in a.imag.ravel()],
-    }

@@ -153,6 +153,23 @@ def test_angmom_json(tmp_path):
     assert payload["orthogonality_residual"] < 1e-12
 
 
+@pytest.mark.parametrize("nx, lyz, t", [("1", "2", "0.5"), ("1e300", "1e300", "1e10")])
+def test_angmom_u_round_trips_the_block_propagator(tmp_path, nx, lyz, t):
+    """u, rebuilt from its "re" and "im" arrays, is the propagator bit for
+    bit, with the string "nan" exactly where the propagator is NaN."""
+    out = tmp_path / "u.json"
+    run_cli("angmom", "--nx", nx, "--lyz", lyz, "--t", t, "--out", str(out))
+    u = json.loads(out.read_text())["u"]
+    with np.errstate(invalid="ignore"):
+        expected = angmom4.block_propagator(float(nx), float(lyz), float(t))
+    nan = np.isnan(expected)
+    assert [x == "nan" for x in u["re"]] == nan.ravel().tolist()
+    n = u["dim"]
+    back = (np.array(u["re"], dtype=float) + 1j * np.array(u["im"], dtype=float)).reshape(n, n)
+    assert back.real[~nan].tobytes() == expected[~nan].tobytes()
+    assert not back.imag.any()
+
+
 def test_nan_block_propagator_exits_1(tmp_path):
     # Angles of 1e310 overflow: cos and sin give NaN.  This once printed the
     # PASS line and exited 0, after numpy warnings on stderr.
@@ -663,15 +680,43 @@ def test_parse_angle_equals_split_parser(token):
     assert _angle_outcome(cli.parse_angle, token) == _angle_outcome(_split_parse_angle, token)
 
 
+def _reference_render_json(obj, indent=0):
+    """The recursive rendering render_json once gave lists and arrays, one
+    call per element of obj.tolist(): the bytes a 1-D float array keeps."""
+    pad, inner = " " * indent, " " * (indent + 2)
+    if isinstance(obj, dict):
+        items = [f'{inner}"{k}": {_reference_render_json(obj[k], indent + 2)}'
+                 for k in sorted(obj)]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, list):
+        if len(obj) == 0:
+            return "[]"
+        items = [f"{inner}{_reference_render_json(v, indent + 2)}" for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    x = float(obj)
+    return format(x, ".17g") if math.isfinite(x) else f'"{x}"'
+
+
 def test_render_json_float_array_matches_recursive_rendering():
     values = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308, -1e308,
                        2.0, -7.0, 1e16, 1 / 3])
     for arr in (values, values[::-1], values[:1], values[3:],
                 np.array([1.5, -0.0, np.nan, 3e38], dtype=np.float32)):
         for indent in (0, 2, 6):
-            assert cli.render_json(arr, indent) == cli.render_json(arr.tolist(), indent)
-    assert cli.render_json({"a": values}) == cli.render_json({"a": values.tolist()})
-    assert cli.render_json(np.array([], dtype=float)) == "[]"
+            assert cli.render_json(arr, indent) == _reference_render_json(arr, indent)
+    assert cli.render_json({"a": values}) == _reference_render_json({"a": values})
+    empty = np.array([], dtype=float)
+    assert cli.render_json(empty) == _reference_render_json(empty) == "[]"
+
+
+@pytest.mark.parametrize("obj", [[1.0], (1.0,), np.zeros((2, 2)), np.arange(3), True],
+                         ids=["list", "tuple", "2-D", "int-array", "bool"])
+def test_render_json_rejects_other_types(obj):
+    # bool is an int subclass: it must not print as 1 or 0.
+    with pytest.raises(TypeError, match="cannot serialize"):
+        cli.render_json(obj)
 
 
 def test_evolve_system_is_checked_by_the_parser(capsys, tmp_path):

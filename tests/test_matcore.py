@@ -9,7 +9,6 @@ from qbrach.matcore import (
     basis16,
     commutator,
     kron_matrix,
-    mat_to_json,
     max_abs,
     pauli,
     trace_pair,
@@ -66,15 +65,6 @@ def test_commutator_anticommutator():
     assert max_abs(commutator(a, b) + commutator(b, a)) < 1e-14
     assert max_abs(anticommutator(a, b) - anticommutator(b, a)) < 1e-14
     assert max_abs(commutator(a, b) + anticommutator(a, b) - 2 * a @ b) < 1e-13
-
-
-def test_json_round_trip():
-    rng = np.random.default_rng(11)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    obj = mat_to_json(a)
-    n = obj["dim"]
-    back = np.reshape(obj["re"], (n, n)) + 1j * np.reshape(obj["im"], (n, n))
-    assert max_abs(a - back) == 0
 
 
 @pytest.mark.parametrize("at", [0, 2, 4])

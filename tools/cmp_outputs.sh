@@ -42,7 +42,10 @@ for m in 1 1e3; do cmds+=("frames --m $m --px 1 --py 1 --pz 1 --t 0.7 --out fram
 cmds+=("frames --m 0 --px 1 --py 0 --pz 1 --t 0.7 --out frames-pivoted.json"
        "frames ${mp[*]} --t 1e6 --out frames-long.json"
        "frames --m 0.3 --px -2 --py 0.5 --pz 1.5 --t 2.9 --seed 5 --out frames-seed5.json")
-cmds+=("angmom --nx 1 --lyz 2 --t 0.5 --out angmom.json")
+# angmom at angles too large for cos and sin: a NaN propagator, whose
+# entries are rendered as "nan" strings.
+cmds+=("angmom --nx 1 --lyz 2 --t 0.5 --out angmom.json"
+       "angmom --nx 1e300 --lyz 1e300 --t 1e10 --out angmom-nan.json")
 
 run() {  # run() SIDE TREE: every command from TREE, its files saved under $work/SIDE
   local src
