@@ -70,13 +70,15 @@ def _resolve_out(path: str) -> str:
 
 def _check_out_dir(path: str) -> None:
     """Raise if `path` resolves to a directory, or into a directory that does
-    not exist, so a command fails before its work.  The file itself is created
+    not exist or is a file, so a command fails before its work.  The file itself is created
     only when the report is written, so a run that fails later leaves none behind."""
     target = _resolve_out(path)
     if os.path.isdir(target):
         raise IsADirectoryError(f"output path {target!r} is a directory")
     folder = os.path.dirname(target) or "."
     if not os.path.isdir(folder):
+        if os.path.exists(folder):
+            raise NotADirectoryError(f"output directory {folder!r} is not a directory")
         raise FileNotFoundError(f"output directory {folder!r} does not exist")
 
 
@@ -284,9 +286,8 @@ def _cmd_angmom_conserve(args) -> int:
 
 
 def _cmd_compton(args) -> int:
-    rep = "gamma_scatter" if args.rep == "gamma" else "majorana"
     thetas = parse_grid(args.theta_grid)
-    res, worsts = _compton(args.m, args.omega1, thetas, rep)
+    res, worsts = _compton(args.m, args.omega1, thetas, args.rep)
     matrix_max = np.max([res[k] for k in COMPTON_KEYS[2:]], axis=0)
     _write_csv(args.out, ["theta", "omega2", "residual_energy", "residual_matrix_max"],
                thetas, res["omega2"], res["residual_energy"], matrix_max)
@@ -336,13 +337,13 @@ def _check_diagonalization(rng) -> list[tuple[str, float, float]]:
 
 def _check_propagator(rng) -> list[tuple[str, float, float]]:
     frame = propagate.majorana_eigenframe(1.0, (1.0, 1.0, 1.0))
-    u = propagate.propagator(frame)
     t, s, r = rng.uniform(-2, 2, (20, 3)).T  # 20 (t, s, r) triples, drawn row by row
+    u = propagate.propagator(frame, t, s)
     ph = np.exp(-2j * frame.energy * (t - s))
     residuals = [
-        max_abs(u(t, s) - np.eye(4) * np.column_stack([ph, ph, np.ones((20, 2))])[:, None]),
-        max_abs(u(t, s) @ u(t, s).conj().swapaxes(-1, -2) - np.eye(4)),
-        max_abs(u(t, s) @ u(s, r) - u(t, r)),
+        max_abs(u - np.eye(4) * np.column_stack([ph, ph, np.ones((20, 2))])[:, None]),
+        max_abs(u @ u.conj().swapaxes(-1, -2) - np.eye(4)),
+        max_abs(u @ propagate.propagator(frame, s, r) - propagate.propagator(frame, t, r)),
     ]
     return [("propagator", worst(residuals), 1e-10)]
 
@@ -411,10 +412,10 @@ def _check_angmom(rng) -> list[tuple[str, float, float]]:
 def _check_compton(rng) -> list[tuple[str, float, float]]:
     cases = [(1.0, 1.0), *rng.uniform(0.2, 3.0, (5, 2))]
     thetas = np.linspace(0.0, math.pi, 16)
-    return [(f"compton_{tag}",
+    return [(f"compton_{rep}",
              worst(np.concatenate([_compton(m, w1, thetas, rep)[1] for m, w1 in cases])),
              1e-12)
-            for rep, tag in (("gamma_scatter", "gamma"), ("majorana", "majorana"))]
+            for rep in ("gamma", "majorana")]
 
 
 def _check_phase_anticom(rng) -> list[tuple[str, float, float]]:

@@ -2,9 +2,9 @@
 
 The closed-form eigenvector matrix W and its inverse diagonalize
 H = i m beta + alpha.p to D = E diag(1, 1, -1, -1).  The eigenmatrix evolves
-as W(t) = exp(-i t D) W(0), giving the two-time unitary
-U(t, s) = W(t) W^-1(s).  With the removable global phase e^{-iE(t-s)}
-included, U(t, s) = diag(e^{-2iE(t-s)}, e^{-2iE(t-s)}, 1, 1).
+as W(t) = exp(-i t D) W(0).  propagator(frame, t, s) returns the two-time
+unitary U(t, s) = W(t) W^-1(s); with the removable global phase
+e^{-iE(t-s)} included, it is diag(e^{-2iE(t-s)}, e^{-2iE(t-s)}, 1, 1).
 
 The evolved Hamiltonian H(t) = U H(0) U^dag keeps its p_x, p_z entries and
 rotates the (p_y + i m) entries by e^{-2iEt}; the complex mass coefficient
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -114,33 +113,25 @@ def _pivoted_frame(m: float, p, energy: float, d: np.ndarray) -> EigenFrame:
     return EigenFrame(vecs, vecs.conj().T, d, energy, degenerate_fallback=True)
 
 
-def propagator(frame: EigenFrame) -> Callable[..., np.ndarray]:
-    """U(t, s) = W(t) W^-1(s) as a function u(t, s) of the two times.
-
-    The bare exp(-i(t-s)D) carries the universal phase e^{-iE(t-s)}, giving
-    the diagonal matrix diag(e^{-2iE(t-s)}, e^{-2iE(t-s)}, 1, 1), stacked over
-    arrays t, s.  Raises PropagateError when a phase angle 2E(t - s) is not finite.
-    """
-    energy = frame.energy
-
-    def u(t, s) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            tau = np.subtract(t, s, dtype=float)
-            finite = np.isfinite(2.0 * energy * tau)
-        if not finite.all():
-            raise PropagateError(f"2 E (t - s) is not finite at E = {energy:g}, "
-                                 f"t - s = {tau[~finite][0]:g}")
-        out = np.zeros(tau.shape + (4, 4), dtype=complex)
-        out[..., range(4), range(4)] = (np.exp(-1j * energy * tau)[..., None]
-                                        * np.exp(-1j * tau[..., None] * np.diag(frame.d)))
-        return out
-
-    return u
+def propagator(frame: EigenFrame, t, s) -> np.ndarray:
+    """U(t, s) = W(t) W^-1(s) = diag(e^{-2iE(t-s)}, e^{-2iE(t-s)}, 1, 1), stacked
+    over arrays t, s: the bare exp(-i(t-s)D) times the universal phase e^{-iE(t-s)}.
+    Raises PropagateError when a phase angle 2E(t - s) is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        tau = np.subtract(t, s, dtype=float)
+        finite = np.isfinite(2.0 * frame.energy * tau)
+    if not finite.all():
+        raise PropagateError(f"2 E (t - s) is not finite at E = {frame.energy:g}, "
+                             f"t - s = {tau[~finite][0]:g}")
+    out = np.zeros(tau.shape + (4, 4), dtype=complex)
+    out[..., range(4), range(4)] = (np.exp(-1j * frame.energy * tau)[..., None]
+                                    * np.exp(-1j * tau[..., None] * np.diag(frame.d)))
+    return out
 
 
 def eigenframe_at(frame: EigenFrame, t: float) -> np.ndarray:
     """W(t) = U(t, 0) W(0), the eigenframe of H(t)."""
-    return propagator(frame)(t, 0.0) @ frame.w
+    return propagator(frame, t, 0.0) @ frame.w
 
 
 def evolve_hamiltonian(frame: EigenFrame, h0: np.ndarray, t) -> np.ndarray:
@@ -149,7 +140,7 @@ def evolve_hamiltonian(frame: EigenFrame, h0: np.ndarray, t) -> np.ndarray:
     expected = np.sort(np.diag(frame.d).real)
     if max_abs(np.linalg.eigvalsh(h0) - expected) > 1e-8 * max(1.0, frame.energy):
         raise PropagateError("h0 spectrum does not match the eigenframe")
-    u = propagator(frame)(t, 0.0)
+    u = propagator(frame, t, 0.0)
     return u @ h0 @ u.conj().swapaxes(-1, -2)
 
 
@@ -220,7 +211,7 @@ def classify_mass(rep: SpinorRep, m0: float, p, t_grid) -> MassReport:
                              f"a rotating mass would move at most {reach:.3g}, "
                              f"not above {SPAN_MARGIN * CLASSIFY_TOL:.3g}")
 
-    # U is the bare exp(-itD): propagator() differs by e^{-iEt}, which would move bits.
+    # U is the bare exp(-itD): propagator's U(t, 0) differs by e^{-iEt}, which would move bits.
     h0 = rep.hamiltonian(m0, p)
     vals = energy * np.array([1.0, 1.0, -1.0, -1.0])
     c_mass = np.empty(t_grid.size)

@@ -40,7 +40,7 @@ class ScatterConfig:
     m: float
     omega1: float
     theta: float | np.ndarray
-    rep: str = "gamma_scatter"  # or "majorana"
+    rep: str = "gamma"  # or "majorana"
 
     def __post_init__(self):
         _check_mass_frequency(self.m, self.omega1)
@@ -49,7 +49,7 @@ class ScatterConfig:
             raise ScatterError("theta must be one angle or a non-empty 1-D array of angles")
         if not np.all((0.0 <= theta) & (theta <= np.pi)):  # a NaN fails both
             raise ScatterError("theta must lie in [0, pi]")
-        if self.rep not in ("gamma_scatter", "majorana"):
+        if self.rep not in ("gamma", "majorana"):
             raise ScatterError(f"unknown representation {self.rep!r}")
 
 
@@ -81,8 +81,8 @@ def recoil_kinematics(cfg: ScatterConfig):
     """
     theta = np.asarray(cfg.theta, dtype=float)
     w2 = compton_omega2(cfg.m, cfg.omega1, theta)
-    if np.any(w2 <= 0):
-        raise ScatterError("scattered frequency must be positive")
+    if np.any(w2 <= 0):  # for m, omega1 > 0 only when 1/w2 overflows to inf
+        raise ScatterError("1/omega1 + (1 - cos(theta))/m overflows, so omega2 underflows to 0")
     e2 = cfg.m + cfg.omega1 - w2
     px = cfg.omega1 - w2 * np.cos(theta)
     py = -w2 * np.sin(theta)

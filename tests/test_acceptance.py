@@ -8,6 +8,7 @@ import math
 import subprocess
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -61,7 +62,7 @@ def test_criterion_03_propagator():
     m, p = 1.0, np.array([1.0, 1.0, 1.0])
     energy = 2.0
     frame = propagate.majorana_eigenframe(m, p)
-    u = propagate.propagator(frame)
+    u = partial(propagate.propagator, frame)
     diag_resid = group_resid = 0.0
     for _ in range(50):
         t, s, r, tau = rng.uniform(-3, 3, 4)
@@ -205,7 +206,7 @@ def test_criterion_09_compton():
         m, w1 = rng.uniform(0.2, 3.0, 2)
         for th in thetas:
             res_g = scatter.verify_conservation(
-                scatter.ScatterConfig(m, w1, float(th), rep="gamma_scatter"))
+                scatter.ScatterConfig(m, w1, float(th), rep="gamma"))
             res_m = scatter.verify_conservation(
                 scatter.ScatterConfig(m, w1, float(th), rep="majorana"))
             for res in (res_g, res_m):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -285,7 +286,7 @@ def _reference_check_diagonalization(rng):
 
 def _reference_check_propagator(rng):
     frame = propagate.majorana_eigenframe(1.0, (1.0, 1.0, 1.0))
-    u = propagate.propagator(frame)
+    u = partial(propagate.propagator, frame)
     residuals = []
     for _ in range(20):
         t, s, r = rng.uniform(-2, 2, 3)
@@ -335,10 +336,10 @@ def _reference_check_frames(rng):
 def _reference_check_compton(rng):
     cases = [(1.0, 1.0)] + [tuple(rng.uniform(0.2, 3.0, 2)) for _ in range(5)]
     thetas = np.linspace(0.0, math.pi, 16)
-    return [(f"compton_{tag}",
+    return [(f"compton_{rep}",
              worst(np.concatenate([cli._compton(m, w1, thetas, rep)[1] for m, w1 in cases])),
              1e-12)
-            for rep, tag in (("gamma_scatter", "gamma"), ("majorana", "majorana"))]
+            for rep in ("gamma", "majorana")]
 
 
 def _reference_check_phase_anticom(rng):
@@ -393,21 +394,22 @@ VALID_FLOAT_ARGS = {
     ["angmom-conserve"],
     ["report-all"],
 ], ids=["evolve", "angmom-conserve", "report-all"])
-@pytest.mark.parametrize("via_env, is_dir", [(False, False), (True, False), (False, True),
-                                             (True, True)],
-                         ids=["path", "env", "dir-path", "dir-env"])
+@pytest.mark.parametrize("via_env, kind", [(False, "missing"), (True, "missing"), (False, "dir"),
+                                           (True, "dir"), (False, "file"), (True, "file")],
+                         ids=["path", "env", "dir-path", "dir-env", "file-path", "file-env"])
 def test_missing_out_dir_exits_2_before_any_work(capsys, monkeypatch, tmp_path, argv, via_env,
-                                                 is_dir):
+                                                 kind):
     # evolve once ran its whole integration, and report-all its first checks,
-    # before failing to open the file: in a missing directory, or (is_dir)
-    # when --out named an existing directory.
+    # before failing to open the file: in a missing directory, or when --out
+    # named an existing directory.  A parent that is a regular file was once
+    # reported as a missing directory.
     def never(*_):
         raise AssertionError("integrated before checking the output path")
 
     monkeypatch.setattr(qbe, "integrate_qbe", never)
     monkeypatch.setattr(angmom4, "integrate_qbe", never)
     folder = tmp_path / "folder"
-    if is_dir:
+    if kind == "dir":
         folder.mkdir()
         (folder / "kept.txt").write_text("kept")
         out, expected = str(folder), f"output path {str(folder)!r} is a directory"
@@ -416,14 +418,19 @@ def test_missing_out_dir_exits_2_before_any_work(capsys, monkeypatch, tmp_path, 
             out = "folder"
     else:
         out, expected = str(folder / "r.out"), f"output directory {str(folder)!r} does not exist"
+        if kind == "file":
+            folder.write_text("kept")
+            expected = f"output directory {str(folder)!r} is not a directory"
         if via_env:
             monkeypatch.setenv(cli.OUT_DIR_ENV, str(folder))
             out = "r.out"
     code, stdout, err = run_main(capsys, *argv, "--out", out)
     assert (code, stdout) == (2, "")
     assert err == f"error: {expected}\n"
-    if is_dir:
+    if kind == "dir":
         assert [(f.name, f.read_text()) for f in folder.iterdir()] == [("kept.txt", "kept")]
+    elif kind == "file":
+        assert folder.read_text() == "kept"
     else:
         assert not folder.exists()
 
@@ -799,6 +806,16 @@ def test_shared_parser_runs_like_a_fresh_one(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
     assert cli.build_parser() is not cli.build_parser()
     assert _run_sequence(capsys, monkeypatch, tmp_path / "fresh") == shared
+
+
+def test_compton_underflowing_omega2_exits_2(capsys, tmp_path):
+    out = tmp_path / "c.csv"
+    code, stdout, err = run_main(capsys, "compton", "--rep", "gamma", "--m", "1e-308",
+                                 "--omega1", "1", "--theta-grid", "0:pi:3", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == ("error: 1/omega1 + (1 - cos(theta))/m overflows, "
+                   "so omega2 underflows to 0\n")
+    assert not out.exists()
 
 
 def test_overflowing_compton_fails_without_warnings(tmp_path):

@@ -1,6 +1,7 @@
 """Tests for closed-form eigenframes, propagators, and the mass classifier."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ def test_zero_hamiltonian_takes_the_pivoted_frame():
     frame = majorana_eigenframe(0.0, (0, 0, 0))
     assert frame.degenerate_fallback and frame.energy == 0
     assert (frame.w == np.eye(4)).all()
-    assert (propagator(frame)(0.7, 0.0) == np.eye(4)).all()
+    assert (propagator(frame, 0.7, 0.0) == np.eye(4)).all()
 
 
 @st.composite
@@ -96,16 +97,15 @@ def test_propagator_is_phased_diagonal():
     m, p = 1.0, np.array([1.0, 1.0, 1.0])
     energy = 2.0
     frame = majorana_eigenframe(m, p)
-    u = propagator(frame)
     for _ in range(50):
         t, s = rng.uniform(-3, 3, 2)
         ph = np.exp(-2j * energy * (t - s))
-        assert max_abs(u(t, s) - np.diag([ph, ph, 1, 1])) < 1e-12
+        assert max_abs(propagator(frame, t, s) - np.diag([ph, ph, 1, 1])) < 1e-12
 
 
 def _reference_u(frame, t, s):
-    """u(t, s) as it was before it checked 2E(t - s); kept as the reference
-    for its bits."""
+    """U(t, s) as it was before propagator checked 2E(t - s); kept as the
+    reference for its bits."""
     tau = t - s
     phases = np.exp(-1j * tau * np.diag(frame.d))
     return np.diag(np.exp(-1j * frame.energy * tau) * phases)
@@ -118,7 +118,7 @@ def test_propagator_bits_are_unchanged_by_the_phase_check():
         frame = majorana_eigenframe(m, p)
         t, s = rng.uniform(-3, 3, 2)
         for args in ((t, s), (float(t), float(s)), (t, 0.0), (0.0, s)):
-            assert propagator(frame)(*args).tobytes() == _reference_u(frame, *args).tobytes()
+            assert propagator(frame, *args).tobytes() == _reference_u(frame, *args).tobytes()
 
 
 @st.composite
@@ -146,7 +146,7 @@ def _grids(draw):
 def test_propagator_on_a_grid_equals_per_time_calls(mp, grid):
     frame = majorana_eigenframe(*mp)
     ts, s = grid
-    u = propagator(frame)(ts, s)
+    u = propagator(frame, ts, s)
     assert u.shape == (len(ts), 4, 4)
     for t, u_t in zip(ts, u):
         assert u_t.tobytes() == _reference_u(frame, float(t), s).tobytes()
@@ -175,7 +175,7 @@ def test_propagator_rejects_non_finite_phase(t, s):
     h0 = build_majorana().hamiltonian(1.0, (1.0, 1.0, 1.0))
     with np.errstate(all="raise"):
         with pytest.raises(PropagateError, match=r"2 E \(t - s\) is not finite"):
-            propagator(frame)(t, s)
+            propagator(frame, t, s)
         if s == 0.0:
             with pytest.raises(PropagateError, match=r"2 E \(t - s\) is not finite"):
                 evolve_hamiltonian(frame, h0, t)
@@ -184,7 +184,7 @@ def test_propagator_rejects_non_finite_phase(t, s):
 def test_propagator_group_laws():
     rng = np.random.default_rng(31)
     frame = majorana_eigenframe(0.5, (0.3, -1.2, 0.7))
-    u = propagator(frame)
+    u = partial(propagator, frame)
     for _ in range(50):
         t, s, r, tau = rng.uniform(-2, 2, 4)
         assert max_abs(u(t, s) @ u(t, s).conj().T - np.eye(4)) < 1e-10

@@ -37,6 +37,23 @@ def test_compton_rejects_bad_inputs():
         ScatterConfig(1.0, 1.0, 0.5, rep="weyl")
 
 
+def test_config_takes_the_cli_representation_names():
+    assert ScatterConfig(1.0, 1.0, 0.5).rep == "gamma"
+    # The builder's name is not a second spelling of "gamma".
+    with pytest.raises(ScatterError, match="unknown representation 'gamma_scatter'"):
+        ScatterConfig(1.0, 1.0, 0.5, rep="gamma_scatter")
+
+
+@pytest.mark.parametrize("m, omega1", [(1e-308, 1.0), (1.0, 1e-310), (1e-308, 1e-308)])
+def test_overflowing_inverse_frequency_is_named(m, omega1):
+    # For m, omega1 > 0 omega2 is positive; it reads 0 only when
+    # 1/omega1 + (1 - cos(theta))/m overflows, which was once reported as
+    # "scattered frequency must be positive".
+    cfg = ScatterConfig(m, omega1, np.array([0.0, math.pi / 2, math.pi]))
+    with pytest.raises(ScatterError, match="overflows"):
+        verify_conservation(cfg)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("which", ["m", "omega1"])
 def test_non_finite_mass_or_frequency_is_rejected(which, value):
@@ -90,7 +107,8 @@ def _per_angle(m, w1, th, rep):
 
 @pytest.mark.parametrize("n", [1, 2, 16, 64, BLOCK_SAMPLES - 1, BLOCK_SAMPLES,
                                BLOCK_SAMPLES + 1, 1000])
-@pytest.mark.parametrize("rep", ["gamma_scatter", "majorana"])
+# The ids name each representation's generator builder in cliffrep.
+@pytest.mark.parametrize("rep", ["gamma", "majorana"], ids=["gamma_scatter", "majorana"])
 def test_compton_grid_equals_per_angle_loop(rep, n):
     rng = np.random.default_rng(n)
     m, w1 = rng.uniform(0.2, 3.0, 2)
@@ -149,7 +167,7 @@ def test_conservation_residuals_both_reps():
     for _ in range(20):
         m, w1 = rng.uniform(0.2, 3.0, 2)
         th = rng.uniform(0.0, math.pi)
-        res_g = verify_conservation(ScatterConfig(m, w1, th, rep="gamma_scatter"))
+        res_g = verify_conservation(ScatterConfig(m, w1, th, rep="gamma"))
         res_m = verify_conservation(ScatterConfig(m, w1, th, rep="majorana"))
         for res in (res_g, res_m):
             assert res["residual_energy"] < 1e-12
