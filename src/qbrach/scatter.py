@@ -63,7 +63,11 @@ def _check_mass_frequency(m: float, omega1: float) -> None:
 def compton_omega2(m: float, omega1: float, theta):
     """Scattered frequency from 1/w2 - 1/w1 = (1 - cos(theta)) / m."""
     _check_mass_frequency(m, omega1)
-    return 1.0 / (1.0 / omega1 + (1.0 - np.cos(theta)) / m)
+    with np.errstate(over="ignore"):
+        w2 = 1.0 / (1.0 / omega1 + (1.0 - np.cos(theta)) / m)
+    if np.any(w2 <= 0):  # for m, omega1 > 0 only when 1/w2 overflows to inf
+        raise ScatterError("1/omega1 + (1 - cos(theta))/m overflows, so omega2 underflows to 0")
+    return w2
 
 
 def _generators(rep: str):
@@ -81,8 +85,6 @@ def recoil_kinematics(cfg: ScatterConfig):
     """
     theta = np.asarray(cfg.theta, dtype=float)
     w2 = compton_omega2(cfg.m, cfg.omega1, theta)
-    if np.any(w2 <= 0):  # for m, omega1 > 0 only when 1/w2 overflows to inf
-        raise ScatterError("1/omega1 + (1 - cos(theta))/m overflows, so omega2 underflows to 0")
     e2 = cfg.m + cfg.omega1 - w2
     px = cfg.omega1 - w2 * np.cos(theta)
     py = -w2 * np.sin(theta)

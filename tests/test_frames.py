@@ -1,5 +1,7 @@
 """Tests for the frame-equivalence bilinear identities."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from hypothesis import strategies as st
 
 from qbrach.cliffrep import build_majorana
 from qbrach.frames import (
-    FrameCase,
     FrameError,
     check_frame_equivalence,
     check_klein_gordon,
@@ -49,26 +50,31 @@ def test_identities_hold_for_random_states():
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
         t = rng.uniform(0.05, 3.0)
         case = make_frame_case(v, t, 1.0, (1.0, 1.0, 1.0))
-        report = check_frame_equivalence(case)
-        assert report["verdict"] == "PASS"
-        for name, resid in report["residuals"].items():
+        for name, resid in check_frame_equivalence(case).items():
             assert resid < 1e-10, name
 
 
 def test_identities_trivial_at_t_zero():
     case = make_frame_case([1, 1j, 0.5, -0.25], 0.0, 1.0, (0.5, -0.5, 1.0))
-    report = check_frame_equivalence(case)
-    assert max(report["residuals"].values()) < 1e-14
+    assert max(check_frame_equivalence(case).values()) < 1e-14
 
 
 def test_negative_control_fails():
     """An unevolved partner state at t != 0 must be rejected."""
     rng = np.random.default_rng(83)
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    v = v / np.linalg.norm(v)
-    bad = FrameCase(v=v, w=v.copy(), t=0.7, m=1.0, p=(1.0, 1.0, 1.0), energy=2.0)
-    report = check_frame_equivalence(bad)
-    assert report["verdict"] == "FAIL"
+    case = make_frame_case(v, 0.7, 1.0, (1.0, 1.0, 1.0))
+    assert not worst(check_frame_equivalence(replace(case, w=case.v)).values()) < 1e-10
+
+
+def test_inconsistent_frame_case_is_refused():
+    # A case's eigenframe and H(0) come from one (m, p).  A frame of another
+    # mass has another spectrum, and evolving H(0) with it is refused rather
+    # than reported as an identity FAIL.
+    case = make_frame_case([1, 1j, 0.5, -0.25], 0.7, 1.0, (1.0, 1.0, 1.0))
+    bad = replace(case, frame=majorana_eigenframe(2.0, (1.0, 1.0, 1.0)))
+    with pytest.raises(PropagateError, match="h0 spectrum does not match the eigenframe"):
+        check_frame_equivalence(bad)
 
 
 def test_squared_expectation_equality():

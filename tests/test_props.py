@@ -1,10 +1,16 @@
-"""Property tests for the mass classifier and its grid rules.
+"""Property tests for the mass classifier and its grid rules, and for the
+exact power-of-two scaling of the flow and the closed forms.
 
 Over m in [0.1, 3], p in [-3, 3]^3, t_end up to 10 and 2 to 500 samples on
 np.linspace(0, t_end, samples): a grid whose steps resolve the rotation at
 rate 2E, and whose span lets a rotating mass move more than
 SPAN_MARGIN * CLASSIFY_TOL, gives CONSTANT for the Dirac mass and ROTATING
 at 2E for the Majorana mass; every other grid raises PropagateError.
+
+Multiplying by 2^j is exact in binary floating point away from overflow and
+underflow, and the flow, its audit and the closed forms are homogeneous, so
+the scaling relations hold bit for bit.  They hold whatever the order of
+summation, so they need no kept copy of an older implementation.
 """
 
 import math
@@ -14,6 +20,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qbrach import qbe
+from qbrach.angmom4 import toy_hamiltonian
 from qbrach.cliffrep import build_dirac, build_majorana
 from qbrach.propagate import (
     CLASSIFY_TOL,
@@ -21,7 +29,10 @@ from qbrach.propagate import (
     SPAN_MARGIN,
     PropagateError,
     classify_mass,
+    evolve_hamiltonian,
+    majorana_eigenframe,
 )
+from qbrach.scatter import ScatterConfig, verify_conservation
 
 MASSES = st.floats(0.1, 3.0)
 MOMENTA = st.tuples(*[st.floats(-3.0, 3.0)] * 3)
@@ -90,3 +101,84 @@ def _near_the_span_limit(draw):
 @given(_near_the_span_limit())
 def test_classifier_at_the_span_limit(case):
     _check_grid(*case)
+
+
+# Exact power-of-two scaling.  Coefficients keep clear of 0 so that no
+# product underflows to a subnormal, where scaling is no longer exact.  The
+# flow keeps |j| <= 3: BrachSystem's guards are absolute tolerances.
+def _clear_of_zero(hi, signed=True):
+    """0, or a float of magnitude in [1e-3, hi]."""
+    sides = (st.floats(1e-3, hi), st.floats(-hi, -1e-3)) if signed else (st.floats(1e-3, hi),)
+    return st.one_of(st.just(0.0), *sides)
+
+
+COEFFS = _clear_of_zero(3.0)
+FLOW_J = st.integers(-3, 3)
+CLOSED_J = st.integers(-10, 10)
+
+
+def _scale(x, j):
+    """2^j x, exact for a real or complex x away from overflow and underflow."""
+    return np.multiply(x, 2.0**j)
+
+
+def _check_flow_scaling(system, scaled, j, steps, step):
+    """The scaled flow over 2^-j the step and horizon is 2^j the flow, and its
+    drifts are 4^j the flow's, 2^j for the spectrum."""
+    t_end = steps * step
+    base = qbe.integrate_qbe(system, t_end, step)
+    traj = qbe.integrate_qbe(scaled, math.ldexp(t_end, -j), math.ldexp(step, -j))
+    assert traj.coeffs.tobytes() == _scale(base.coeffs, j).tobytes()
+    want = qbe.conserved_residuals(base)
+    got = qbe.conserved_residuals(traj)
+    for name, power in zip(qbe.DRIFTS, (2, 2, 2, 1)):
+        key = f"{name}_drift"
+        assert got[key] == math.ldexp(want[key], power * j), key
+
+
+@settings(max_examples=40)
+@given(FLOW_J, st.floats(0.1, 3.0), st.tuples(*[COEFFS] * 3),
+       st.none() | st.lists(COEFFS, min_size=11, max_size=11),
+       st.integers(1, 20), st.floats(1e-3, 0.05))
+def test_majorana_flow_scales_exactly(j, m, p, lam, steps, step):
+    system = qbe.majorana_system(m, p, lam)
+    scaled = qbe.majorana_system(math.ldexp(m, j), _scale(p, j),
+                                 None if lam is None else _scale(lam, j))
+    _check_flow_scaling(system, scaled, j, steps, step)
+
+
+@settings(max_examples=40)
+@given(FLOW_J, st.tuples(*[COEFFS] * 3), st.tuples(*[COEFFS] * 3),
+       st.lists(COEFFS, min_size=9, max_size=9), st.integers(1, 20), st.floats(1e-3, 0.05))
+def test_angmom_flow_scales_exactly(j, n, l, f_coeffs, steps, step):
+    system = qbe.angmom_system(toy_hamiltonian(n, l), f_coeffs)
+    scaled = qbe.angmom_system(toy_hamiltonian(_scale(n, j), _scale(l, j)), _scale(f_coeffs, j))
+    _check_flow_scaling(system, scaled, j, steps, step)
+
+
+@settings(max_examples=60)
+@given(CLOSED_J, st.floats(0.1, 3.0), st.floats(0.1, 3.0),
+       st.lists(_clear_of_zero(math.pi, signed=False), min_size=1, max_size=8),
+       st.sampled_from(["gamma", "majorana"]))
+def test_compton_scales_exactly(j, m, omega1, thetas, rep):
+    """Under (m, omega1) -> 2^j (m, omega1) omega2 scales by 2^j and every
+    residual by 4^j."""
+    want = verify_conservation(ScatterConfig(m, omega1, np.array(thetas), rep))
+    got = verify_conservation(ScatterConfig(math.ldexp(m, j), math.ldexp(omega1, j),
+                                            np.array(thetas), rep))
+    for key, value in want.items():
+        power = 1 if key == "omega2" else 2
+        assert got[key].tobytes() == _scale(value, power * j).tobytes(), key
+
+
+def _evolved(m, p, t):
+    return evolve_hamiltonian(majorana_eigenframe(m, p), build_majorana().hamiltonian(m, p), t)
+
+
+@settings(max_examples=30)
+@given(CLOSED_J, _clear_of_zero(3.0, signed=False), st.tuples(*[COEFFS] * 3),
+       _clear_of_zero(10.0))
+def test_evolved_hamiltonian_scales_exactly(j, m, p, t):
+    """H(t) at (2^j m, 2^j p, t / 2^j) is 2^j H(t)."""
+    got = _evolved(math.ldexp(m, j), _scale(p, j), math.ldexp(t, -j))
+    assert got.tobytes() == _scale(_evolved(m, p, t), j).tobytes()

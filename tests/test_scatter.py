@@ -52,6 +52,9 @@ def test_overflowing_inverse_frequency_is_named(m, omega1):
     cfg = ScatterConfig(m, omega1, np.array([0.0, math.pi / 2, math.pi]))
     with pytest.raises(ScatterError, match="overflows"):
         verify_conservation(cfg)
+    # A direct call once returned 0.0 with numpy's overflow RuntimeWarning.
+    with pytest.raises(ScatterError, match="omega2 underflows to 0"):
+        compton_omega2(m, omega1, cfg.theta)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
