@@ -265,7 +265,8 @@ def _cmd_angmom(args) -> int:
         "orthogonality_residual": resid,
     }
     if worst([resid]) < 1e-12:
-        return _finish(args, payload, True, f"angmom: block propagator at t={args.t:g} written")
+        written = "" if args.out is None else " written"
+        return _finish(args, payload, True, f"angmom: block propagator at t={args.t:g}{written}")
     return _finish(args, payload, False,
                    f"angmom: FAIL (orthogonality residual {resid:.3g} at t={args.t:g})")
 
@@ -302,8 +303,9 @@ def _cmd_frames(args) -> int:
     rng = np.random.default_rng(args.seed)
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     p = (args.px, args.py, args.pz)
-    residuals = frames.check_frame_equivalence(frames.make_frame_case(v, args.t, args.m, p))
-    kg = frames.check_klein_gordon(args.m, p, np.linspace(0.0, args.t, 16))
+    case = frames.make_frame_case(v, args.t, args.m, p)
+    residuals = frames.check_frame_equivalence(case)
+    kg = frames.check_klein_gordon(case.frame, case.h0, np.linspace(0.0, args.t, 16))
     # The Klein-Gordon residual gates the verdict along with the identities.
     verdict = "PASS" if worst([*residuals.values(), kg]) < FRAMES_TOL else "FAIL"
     payload = {
@@ -357,7 +359,7 @@ def _check_evolved_hamiltonian(rng) -> list[tuple[str, float, float]]:
     ht = propagate.evolve_hamiltonian(frame, h0, t)
     expected = (p[1] + 1j * m) * np.exp(-2j * frame.energy * t)
     residuals = [max_abs(ht[:, 0, 2] - expected),
-                 frames.check_klein_gordon(m, p, np.linspace(0, 2, 8))]
+                 frames.check_klein_gordon(frame, h0, np.linspace(0, 2, 8))]
     return [("evolved_hamiltonian", worst(residuals), 1e-10)]
 
 

@@ -88,10 +88,7 @@ def check_frame_equivalence(case: FrameCase) -> dict[str, float]:
     }
 
 
-def check_klein_gordon(m: float, p, t_grid) -> float:
-    """Max residual of H(t)^2 = (m^2 + |p|^2) 1 over the time grid."""
-    p = np.asarray(p, dtype=float)
-    frame = majorana_eigenframe(float(m), tuple(p))
-    h0 = build_majorana().hamiltonian(float(m), tuple(p))
+def check_klein_gordon(frame: EigenFrame, h0: np.ndarray, t_grid) -> float:
+    """Max residual of H(t)^2 = E^2 1 over the time grid, H(t) evolved from h0 in frame."""
     ht = evolve_hamiltonian(frame, h0, t_grid)
-    return max_abs(ht @ ht - (m * m + float(p @ p)) * np.eye(4))
+    return max_abs(ht @ ht - frame.energy_sq * np.eye(4))

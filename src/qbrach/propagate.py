@@ -43,12 +43,13 @@ class PropagateError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class EigenFrame:
-    """Eigenvector matrix, its inverse, the diagonal D and the energy E."""
+    """Eigenvector matrix, its inverse, the diagonal D, the energy E and E^2."""
 
     w: np.ndarray
     w_inv: np.ndarray
     d: np.ndarray
     energy: float
+    energy_sq: float
     degenerate_fallback: bool = False
 
 
@@ -62,12 +63,13 @@ def majorana_eigenframe(m: float, p) -> EigenFrame:
     """
     p = np.asarray(p, dtype=float)
     px, py, pz = p
-    energy = _energy(m, p)
+    energy_sq = _energy_sq(m, p)
+    energy = math.sqrt(energy_sq)
     d = np.diag([energy, energy, -energy, -energy]).astype(complex)
 
     den = py - 1j * m
     if abs(den) < DEGENERACY_THRESHOLD:
-        return _pivoted_frame(m, p, energy, d)
+        return _pivoted_frame(m, p, energy, energy_sq, d)
 
     w = np.array(
         [
@@ -87,20 +89,20 @@ def majorana_eigenframe(m: float, p) -> EigenFrame:
         ],
         dtype=complex,
     )
-    return EigenFrame(w, w_inv, d, energy)
+    return EigenFrame(w, w_inv, d, energy, energy_sq)
 
 
-def _energy(m: float, p: np.ndarray) -> float:
-    """E = sqrt(m^2 + |p|^2); raises PropagateError when E^2 overflows."""
+def _energy_sq(m: float, p: np.ndarray) -> float:
+    """E^2 = m^2 + |p|^2; raises PropagateError when it is not finite."""
     with np.errstate(over="ignore"):
-        energy = float(np.sqrt(m * m + p @ p))
-    if not math.isfinite(energy):
+        energy_sq = float(m * m + p @ p)
+    if not math.isfinite(energy_sq):
         raise PropagateError("E^2 = m^2 + |p|^2 is not finite: "
                              "the Hamiltonian H = i m beta + alpha.p overflows")
-    return energy
+    return energy_sq
 
 
-def _pivoted_frame(m: float, p, energy: float, d: np.ndarray) -> EigenFrame:
+def _pivoted_frame(m: float, p, energy: float, energy_sq: float, d: np.ndarray) -> EigenFrame:
     h = build_majorana().hamiltonian(m, p)
     vals, vecs = np.linalg.eigh(h)
     order = np.argsort(-vals)  # (E, E, -E, -E)
@@ -110,7 +112,7 @@ def _pivoted_frame(m: float, p, energy: float, d: np.ndarray) -> EigenFrame:
         piv = int(np.argmax(np.abs(vecs[:, k])))
         phase = vecs[piv, k] / abs(vecs[piv, k])
         vecs[:, k] = vecs[:, k] / phase
-    return EigenFrame(vecs, vecs.conj().T, d, energy, degenerate_fallback=True)
+    return EigenFrame(vecs, vecs.conj().T, d, energy, energy_sq, degenerate_fallback=True)
 
 
 def propagator(frame: EigenFrame, t, s) -> np.ndarray:
@@ -199,7 +201,7 @@ def classify_mass(rep: SpinorRep, m0: float, p, t_grid) -> MassReport:
         raise PropagateError("t_grid needs at least 2 samples to classify")
     if not np.ptp(t_grid) > 0:
         raise PropagateError("t_grid needs a nonzero span to classify")
-    energy = _energy(m0, p)
+    energy = math.sqrt(_energy_sq(m0, p))
     expected_rate = 2.0 * energy
     dt = np.abs(np.diff(t_grid)).max()
     if not expected_rate * dt < np.pi * (1.0 - NYQUIST_MARGIN):

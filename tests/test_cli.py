@@ -154,6 +154,18 @@ def test_angmom_json(tmp_path):
     assert payload["orthogonality_residual"] < 1e-12
 
 
+def test_angmom_claims_a_file_only_with_out(capsys, monkeypatch, tmp_path):
+    # Without --out the PASS line once ended in "written" though nothing was.
+    monkeypatch.delenv(cli.OUT_DIR_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    argv = ["angmom", "--nx", "1", "--lyz", "2", "--t", "0.5"]
+    assert run_main(capsys, *argv) == (0, "angmom: block propagator at t=0.5\n", "")
+    assert list(tmp_path.iterdir()) == []
+    out = "angmom: block propagator at t=0.5 written\n"
+    assert run_main(capsys, *argv, "--out", "u.json") == (0, out, "")
+    assert [f.name for f in tmp_path.iterdir()] == ["u.json"]
+
+
 @pytest.mark.parametrize("nx, lyz, t", [("1", "2", "0.5"), ("1e300", "1e300", "1e10")])
 def test_angmom_u_round_trips_the_block_propagator(tmp_path, nx, lyz, t):
     """u, rebuilt from its "re" and "im" arrays, is the propagator bit for
@@ -744,6 +756,33 @@ def test_negative_exponent_value_parses(tmp_path):
     res = run_cli(*args, "--pz=-6e-06", "--out", str(joined))
     assert res.returncode == 0, res.stderr
     assert separate.read_bytes() == joined.read_bytes()
+
+
+def _count_calls(monkeypatch, calls: dict, owners) -> None:
+    """Wrap each function named in `calls` on each module in `owners` so that
+    every call adds one to its count."""
+    for owner in owners:
+        for name in calls:
+            def counted(*args, _fn=getattr(owner, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(owner, name, counted)
+
+
+def test_frames_builds_each_closed_form_once(capsys, monkeypatch):
+    # The Klein-Gordon check takes the case's frame and H(0); it once built both again.
+    calls = {"majorana_eigenframe": 0, "build_majorana": 0}
+    _count_calls(monkeypatch, calls, [frames])
+    assert run_main(capsys, "frames", *MASS_MOMENTUM, "--t", "0.7") == (0, "frames: PASS\n", "")
+    assert calls == {"majorana_eigenframe": 1, "build_majorana": 1}
+
+
+def test_evolved_hamiltonian_check_builds_one_eigenframe(monkeypatch):
+    calls = {"majorana_eigenframe": 0}
+    _count_calls(monkeypatch, calls, [propagate, frames])
+    [(name, resid, tol)] = cli._check_evolved_hamiltonian(np.random.default_rng(7))
+    assert name == "evolved_hamiltonian" and resid < tol
+    assert calls == {"majorana_eigenframe": 1}
 
 
 def test_frames_verdict_includes_klein_gordon(tmp_path):

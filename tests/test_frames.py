@@ -102,10 +102,18 @@ def test_make_frame_case_rejects_overflowing_phase(t):
     assert str(info.value) == f"2 E (t - s) is not finite at E = 2, t - s = {t:g}"
 
 
+P = (1.0, 1.0, 1.0)
+
+
+def _frame_and_h0(m, p):
+    """The eigenframe and H(0) of one (m, p): check_klein_gordon's first two arguments."""
+    return majorana_eigenframe(m, p), build_majorana().hamiltonian(m, p)
+
+
 @pytest.mark.parametrize("t", [1e308, -1e308, np.inf])
 def test_klein_gordon_rejects_overflowing_phase(t):
     with np.errstate(all="raise"), pytest.raises(PropagateError, match=r"2 E \(t - s\)"):
-        check_klein_gordon(1.0, (1, 1, 1), [0.0, t])
+        check_klein_gordon(*_frame_and_h0(1.0, P), [0.0, t])
 
 
 @pytest.mark.parametrize("m", [1e6, 1e8, 1e154])
@@ -114,13 +122,21 @@ def test_klein_gordon_at_large_mass_is_a_residual(m):
     # FrameError("evolved Hamiltonian lost Hermiticity").  The relative
     # residual stays at rounding level.
     with np.errstate(over="raise", invalid="raise"):
-        kg = check_klein_gordon(m, (1, 1, 1), np.linspace(0.0, 0.7, 16))
+        kg = check_klein_gordon(*_frame_and_h0(m, P), np.linspace(0.0, 0.7, 16))
     assert kg / (m * m) < 1e-14
 
 
 def test_klein_gordon_residual():
-    assert check_klein_gordon(1.0, (1, 1, 1), np.linspace(0, 2, 9)) < 1e-12
-    assert check_klein_gordon(0.0, (0, 0, 0), [0.0, 1.0]) == 0
+    assert check_klein_gordon(*_frame_and_h0(1.0, P), np.linspace(0, 2, 9)) < 1e-12
+    assert check_klein_gordon(*_frame_and_h0(0.0, (0, 0, 0)), [0.0, 1.0]) == 0
+
+
+def test_klein_gordon_refuses_a_mismatched_frame():
+    # The frame and H(0) are given separately, so they can disagree: a frame
+    # of mass 2 has another spectrum than H(0) of mass 1, and is refused.
+    frame = majorana_eigenframe(2.0, P)
+    with pytest.raises(PropagateError, match="h0 spectrum does not match the eigenframe"):
+        check_klein_gordon(frame, build_majorana().hamiltonian(1.0, P), np.linspace(0, 2, 9))
 
 
 def _reference_klein_gordon(m, p, t_grid):
@@ -145,4 +161,5 @@ TIMES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10.0, 10.0),
 @given(m=st.floats(-500.0, 500.0), p=st.tuples(*[st.floats(-500.0, 500.0)] * 3),
        t_grid=st.lists(TIMES, min_size=1, max_size=16))
 def test_klein_gordon_on_a_grid_equals_per_time_loop(m, p, t_grid):
-    assert check_klein_gordon(m, p, t_grid) == _reference_klein_gordon(m, p, t_grid)
+    kg = check_klein_gordon(*_frame_and_h0(m, p), t_grid)
+    assert kg == _reference_klein_gordon(m, p, t_grid)

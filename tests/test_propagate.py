@@ -5,7 +5,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qbrach.cliffrep import build_dirac, build_majorana
@@ -90,6 +90,30 @@ def test_eigenframe_on_both_sides_of_the_degeneracy_threshold(mp):
     h = build_majorana().hamiltonian(m, p)
     assert max_abs(frame.w_inv @ h @ frame.w - frame.d) / max(1.0, frame.energy) < EIG_BOUND
     assert max_abs(frame.w_inv @ frame.w - np.eye(4)) < EIG_BOUND
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=200)
+@example(m=0.0, p=(0.0, 0.0, 0.0))
+@example(m=1e-170, p=(0.0, 0.0, 0.0))  # E^2 underflows to 0
+@example(m=1e-170, p=(1.0, 0.0, -2.0))
+@example(m=0.0, p=(1.0, 0.0, 1.0))
+@example(m=1e-170, p=(0.0, 1.0, 0.0))
+@given(m=st.sampled_from([0.0, 1e-170]) | st.floats(-1e150, 1e150),
+       p=st.tuples(st.floats(-1e150, 1e150), st.just(0.0) | st.floats(-1e150, 1e150),
+                   st.floats(-1e150, 1e150)))
+def test_frame_keeps_energy_squared(m, p):
+    """E^2 is m*m + p @ p and E its square root, bit for bit, on the closed
+    form and on the pivoted frame (p_y = m = 0) alike; math.sqrt and np.sqrt
+    agree, both being correctly rounded."""
+    frame = majorana_eigenframe(m, p)
+    p = np.asarray(p, dtype=float)
+    assert _bits(frame.energy_sq) == _bits(m * m + float(p @ p))
+    assert _bits(frame.energy) == _bits(math.sqrt(frame.energy_sq))
+    assert _bits(frame.energy) == _bits(np.sqrt(m * m + p @ p))
 
 
 def test_propagator_is_phased_diagonal():
