@@ -62,30 +62,23 @@ def check_frame_equivalence(case: FrameCase) -> dict[str, float]:
       I3: Re(e a*.b)                      =  Re(c*.d)             (p_y-type)
       I4: Im(e a*.b)                      =  Im(c*.d)             (mass-type)
 
-    headline: <v|H(t)|v> = <w|H(0)|w>.
+    headline: <v|H(t)|v> = <w|H(0)|w>.  One map gives each side: (v, e, H(t))
+    on the left and (w, 1, H(0)) on the right.
     """
-    ht = evolve_hamiltonian(case.frame, case.h0, case.t)
-    e = np.exp(-2j * case.frame.energy * case.t)
-
-    a, b = case.v[:2], case.v[2:]
-    c, d = case.w[:2], case.w[2:]
     sx = pauli("x")
 
-    def _split(x, y):
-        return float(np.real(np.conj(x) @ x - np.conj(y) @ y))
+    def bilinears(s, phase, h):  # I1, I2, Re and Im of 2 phase a*.b, <s|h|s>
+        a, b = s[:2], s[2:]
+        z = 2 * (phase * (np.conj(a) @ b))
+        return (np.real(np.conj(a) @ a - np.conj(b) @ b),
+                np.real(np.conj(a) @ (sx @ a) - np.conj(b) @ (sx @ b)),
+                np.real(z), np.imag(z), expectation(h, s))
 
-    def _spin(x, y):
-        return float(np.real(np.conj(x) @ (sx @ x) - np.conj(y) @ (sx @ y)))
-
-    zv = e * (np.conj(a) @ b)
-    zw = np.conj(c) @ d
-    return {
-        "identity_norm": abs(_split(a, b) - _split(c, d)),
-        "identity_pz": abs(_spin(a, b) - _spin(c, d)),
-        "identity_py": abs(float(np.real(2 * zv) - np.real(2 * zw))),
-        "identity_mass": abs(float(np.imag(2 * zv) - np.imag(2 * zw))),
-        "headline": abs(expectation(ht, case.v) - expectation(case.h0, case.w)),
-    }
+    ht = evolve_hamiltonian(case.frame, case.h0, case.t)
+    e = np.exp(-2j * case.frame.energy * case.t)
+    sides = zip(bilinears(case.v, e, ht), bilinears(case.w, 1.0, case.h0))
+    return {key: float(abs(x - y)) for key, (x, y) in zip(
+        ("identity_norm", "identity_pz", "identity_py", "identity_mass", "headline"), sides)}
 
 
 def check_klein_gordon(frame: EigenFrame, h0: np.ndarray, t_grid) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cliffrep import MAJORANA_LABELS, build_majorana
-from .matcore import BLOCK_SAMPLES, commutator, kron_matrix, trace_pair, traceless_labels
+from .matcore import BLOCK_SAMPLES, commutator, kron_matrix, max_abs, trace_pair, traceless_labels
 
 Label = tuple[str, str]
 
@@ -99,11 +99,12 @@ class BrachSystem:
     def __post_init__(self):
         object.__setattr__(self, "f_span", tuple(complement_span(self.h_span)))
         object.__setattr__(self, "k", float(np.trace(self.h0 @ self.h0).real / 2.0))
-        # Each test is written to fail on a NaN residual as well.
-        if not abs(np.trace(self.h0)) <= 1e-12:
-            raise QbeError("Hamiltonian must be traceless")
-        if not abs(trace_pair(self.h0, self.f0())) <= 1e-10:
-            raise QbeError("Tr[H F] != 0 at t = 0")
+        # H0 on its span is traceless with Tr[H0 F0] = 0 for every lambda0, at
+        # any scale; the test is written to fail on a NaN residual as well.
+        h, basis = np.asarray(self.h0).ravel(), _span(tuple(self.h_span))[1]
+        if not (max_abs(h - (np.conj(basis) @ h / 4) @ basis) <= 1e-12 * max_abs(h)
+                and np.isfinite(self.lambda0).all()):
+            raise QbeError("H0 must lie on the span of h_span and lambda0 must be finite")
 
     def f0(self) -> np.ndarray:
         return assemble_constraint(self.f_span, self.lambda0)

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from qbrach import qbe
 from qbrach.angmom4 import toy_hamiltonian
 from qbrach.cliffrep import build_dirac, build_majorana
+from qbrach.frames import check_frame_equivalence, check_klein_gordon, make_frame_case
 from qbrach.propagate import (
     CLASSIFY_TOL,
     NYQUIST_MARGIN,
@@ -104,8 +105,9 @@ def test_classifier_at_the_span_limit(case):
 
 
 # Exact power-of-two scaling.  Coefficients keep clear of 0 so that no
-# product underflows to a subnormal, where scaling is no longer exact.  The
-# flow keeps |j| <= 3: BrachSystem's guards are absolute tolerances.
+# product underflows to a subnormal, where scaling is no longer exact.
+# BrachSystem's span guard is relative to max|H0|, so the flow takes the same
+# |j| <= 20 at every scale.
 def _clear_of_zero(hi, signed=True):
     """0, or a float of magnitude in [1e-3, hi]."""
     sides = (st.floats(1e-3, hi), st.floats(-hi, -1e-3)) if signed else (st.floats(1e-3, hi),)
@@ -113,7 +115,7 @@ def _clear_of_zero(hi, signed=True):
 
 
 COEFFS = _clear_of_zero(3.0)
-FLOW_J = st.integers(-3, 3)
+FLOW_J = st.integers(-20, 20)
 CLOSED_J = st.integers(-10, 10)
 
 
@@ -182,3 +184,21 @@ def test_evolved_hamiltonian_scales_exactly(j, m, p, t):
     """H(t) at (2^j m, 2^j p, t / 2^j) is 2^j H(t)."""
     got = _evolved(math.ldexp(m, j), _scale(p, j), math.ldexp(t, -j))
     assert got.tobytes() == _scale(_evolved(m, p, t), j).tobytes()
+
+
+@settings(max_examples=60)
+@given(CLOSED_J, st.floats(0.1, 3.0), st.tuples(*[COEFFS] * 3), st.floats(0.1, 3.0),
+       st.lists(COEFFS, min_size=8, max_size=8))
+def test_frame_residuals_scale_exactly(j, m, p, t, parts):
+    """At (2^j m, 2^j p, t / 2^j) the bilinear residuals keep their bits, the
+    headline residual scales by 2^j and the Klein-Gordon residual by 4^j."""
+    v = np.array(parts[:4]) + 1j * np.array(parts[4:])
+    assume(np.any(v != 0))
+    base = make_frame_case(v, t, m, p)
+    scaled = make_frame_case(v, math.ldexp(t, -j), math.ldexp(m, j), _scale(p, j))
+    want, got = check_frame_equivalence(base), check_frame_equivalence(scaled)
+    for key, value in want.items():
+        assert got[key] == (math.ldexp(value, j) if key == "headline" else value), key
+    kg = check_klein_gordon(base.frame, base.h0, np.linspace(0.0, t, 16))
+    assert check_klein_gordon(scaled.frame, scaled.h0,
+                              np.linspace(0.0, math.ldexp(t, -j), 16)) == math.ldexp(kg, 2 * j)

@@ -97,6 +97,14 @@ def test_brach_system_rejects_nan_residuals():
             replace(sys_, **bad)
 
 
+def test_brach_system_rejects_h0_off_its_span():
+    # With lambda0 = 0, Tr[H0] = 0 and Tr[H0 F0] = 0 hold, yet the flow would
+    # move the off-span 0.5 sigma_z (x) 1 into F.
+    h0 = majorana_system(1.0, (1.0, 1.0, 1.0)).h0 + 0.5 * kron_matrix(("z", "1"))
+    with pytest.raises(QbeError, match="span of h_span"):
+        BrachSystem(h0, tuple(MAJORANA_H_SPAN), np.zeros(11))
+
+
 @pytest.mark.parametrize("m, p", [(1e200, (1.0, 1.0, 1.0)), (1.0, (1e200, 1.0, 1.0)),
                                   (1e154, (1.0, 1.0, 1.0)), (np.nan, (1.0, 1.0, 1.0)),
                                   (1.0, (np.inf, 0.0, 0.0))])

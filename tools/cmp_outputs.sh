@@ -5,8 +5,9 @@
 #   tools/cmp_outputs.sh PARENT_TREE CHANGE_TREE
 #
 # Each tree is a checkout whose package lies in <tree>/src.  Exits 1 and
-# lists the differing files if any pair differs, or if report-all --seed 7
-# of CHANGE_TREE differs from <CHANGE_TREE>/bench/reference/report-all-seed7.json.
+# lists the differing files, each with where cmp saw the first difference, if
+# any pair differs, or if report-all --seed 7 of CHANGE_TREE differs from
+# <CHANGE_TREE>/bench/reference/report-all-seed7.json.
 # The outputs stay in a new directory under ${TMPDIR:-/tmp}, named at the end.
 set -u -f  # -f: a '*' in a command is part of an angle, not a file pattern
 [ $# -eq 2 ] || { echo "usage: $0 PARENT_TREE CHANGE_TREE" >&2; exit 2; }
@@ -46,6 +47,16 @@ cmds+=("frames --m 0 --px 1 --py 0 --pz 1 --t 0.7 --out frames-pivoted.json"
 # entries are rendered as "nan" strings.
 cmds+=("angmom --nx 1 --lyz 2 --t 0.5 --out angmom.json"
        "angmom --nx 1e300 --lyz 1e300 --t 1e10 --out angmom-nan.json")
+# Documented refusals: each exits 2 and writes no file, but the diverging
+# flow, which exits 3; the gate compares their stderr and exit codes.
+cmds+=("evolve --m 1e200 ${mp[*]:2} --t-end 1 --step 0.1 --out refuse-e2.csv"
+       "evolve --m 1e154 ${mp[*]:2} --t-end 1 --step 0.1 --out refuse-k.csv"
+       "evolve ${mp[*]} --t-end 1 --step 0.3 --out refuse-grid.csv"
+       "classify-mass --rep majorana ${mp[*]} --t-end 1e-12 --out refuse-span.json"
+       "classify-mass --rep majorana ${mp[*]} --samples 3 --out refuse-step.json"
+       "compton --rep gamma --m 1e-308 --omega1 1 --theta-grid 0:pi:4 --out refuse-omega2.csv"
+       "frames ${mp[*]} --t 1e308 --out refuse-phase.json"
+       "angmom-conserve --seed 1 --t-end 1e300 --step 1e296 --out refuse-diverging.json")
 
 run() {  # run() SIDE TREE: every command from TREE, its files saved under $work/SIDE
   local src
@@ -60,7 +71,7 @@ run parent "$1"
 run change "$2"
 
 diffs=$( (ls "$work/parent"; ls "$work/change") | sort -u | while read -r f; do
-  cmp -s "$work/parent/$f" "$work/change/$f" || echo "differs: $f"
+  why=$(cmp "$work/parent/$f" "$work/change/$f" 2>&1) || echo "differs: $f (${why##*: })"
 done )
 cmp -s "$work/change/report-all-7.json" "$2/bench/reference/report-all-seed7.json" \
   || diffs+=$'\n'"differs: report-all-7.json from bench/reference/report-all-seed7.json"
