@@ -2,17 +2,20 @@
 
 Each representation bundles beta, the three alpha matrices and the mass
 generator its builder gives.  gamma0 = beta ax ay az and the spin matrices
-S_i = (1/2)[a_j, a_k] (cyclic) are computed on first read.
-The Majorana set consists of the real integer matrices
+S_i = (1/2)[a_j, a_k] (cyclic) are computed on first read.  Every matrix is
+a factor times a Kronecker product sigma_i (x) sigma_j, built once on import
+and shared, read-only, by every build:
 
-    beta = [[0,0,1,0],[0,0,0,1],[-1,0,0,0],[0,-1,0,0]]      (= i sigma_y (x) 1)
-    a_x  = diag(1,-1,-1,1)                                   (= sigma_z (x) sigma_z)
-    a_y  = [[0,0,1,0],[0,0,0,1],[1,0,0,0],[0,1,0,0]]         (= sigma_x (x) 1)
-    a_z  = [[0,1,0,0],[1,0,0,0],[0,0,0,-1],[0,0,-1,0]]       (= sigma_z (x) sigma_x)
+    Majorana  beta = i sigma_y (x) 1,  a_x = sigma_z (x) sigma_z,
+              a_y = sigma_x (x) 1,     a_z = sigma_z (x) sigma_x
+    Dirac     beta = sigma_z (x) 1,    a_i = sigma_x (x) sigma_i
+    gammas    g_t = sigma_z (x) 1,     g_i = -sigma_y (x) sigma_i = i beta a_i (Dirac)
 
-Note beta is antisymmetric with beta^2 = -1; the Hermitian mass generator
-is i*beta = -sigma_y (x) 1, and it is the mass generator that squares to the
-identity.  MAJORANA_LABELS lists the Kronecker labels of (i*beta, a_x, a_y, a_z).
+The Majorana matrices are real integers; beta is antisymmetric with
+beta^2 = -1, so the Hermitian mass generator is i*beta = -sigma_y (x) 1, and
+it is the mass generator that squares to the identity.  MAJORANA_LABELS
+lists the Kronecker labels of (i*beta, a_x, a_y, a_z).  The Dirac mass
+generator is beta itself.
 """
 
 from __future__ import annotations
@@ -22,12 +25,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .matcore import anticommutator, commutator, kron_matrix, max_abs, pauli, worst
+from .matcore import anticommutator, commutator, frozen, kron_matrix, max_abs, worst
 
 _EYE4 = np.eye(4, dtype=complex)
 
 # Kronecker labels of the Majorana (i*beta, a_x, a_y, a_z); i*beta = -sigma_y (x) 1.
 MAJORANA_LABELS = (("y", "1"), ("z", "z"), ("x", "1"), ("z", "x"))
+
+_MAJORANA_BETA = frozen(1j * kron_matrix(MAJORANA_LABELS[0]))
+_MAJORANA = (_MAJORANA_BETA, tuple(frozen(kron_matrix(lab)) for lab in MAJORANA_LABELS[1:]),
+             frozen(1j * _MAJORANA_BETA))
+_DIRAC_BETA = frozen(kron_matrix(("z", "1")))
+_DIRAC = (_DIRAC_BETA, tuple(frozen(kron_matrix(("x", i))) for i in "xyz"), _DIRAC_BETA)
+_GAMMAS = (_DIRAC_BETA,) + tuple(frozen(-kron_matrix(("y", i))) for i in "xyz")
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,27 +71,12 @@ class SpinorRep:
 
 def build_majorana() -> SpinorRep:
     """The real Majorana representation, exact integer matrices."""
-    beta = np.array(
-        [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]], dtype=complex
-    )
-    ax = np.diag([1, -1, -1, 1]).astype(complex)
-    ay = np.array(
-        [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=complex
-    )
-    az = np.array(
-        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]], dtype=complex
-    )
-    return SpinorRep("majorana", beta, (ax, ay, az), 1j * beta)
+    return SpinorRep("majorana", *_MAJORANA)
 
 
 def build_dirac() -> SpinorRep:
     """Standard Dirac-Pauli block representation."""
-    z = np.zeros((2, 2), dtype=complex)
-    beta = np.diag([1, 1, -1, -1]).astype(complex)
-    alpha = tuple(
-        np.block([[z, pauli(i)], [pauli(i), z]]) for i in ("x", "y", "z")
-    )
-    return SpinorRep("dirac", beta, alpha, beta)
+    return SpinorRep("dirac", *_DIRAC)
 
 
 def build_gamma_scatter() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -90,10 +85,7 @@ def build_gamma_scatter() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     g_t is the Dirac beta; g_i = i * beta * alpha_i so that every member
     squares to +1 and {g_t, g_i} = 0, {g_i, g_j} = 2 delta_ij.
     """
-    rep = build_dirac()
-    gt = rep.beta
-    gs = tuple(1j * rep.beta @ a for a in rep.alpha)
-    return (gt,) + gs
+    return _GAMMAS
 
 
 def _clifford_residuals(gens) -> dict[str, float]:

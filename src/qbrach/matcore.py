@@ -89,6 +89,12 @@ def kron_matrix(label: tuple[str, str]) -> np.ndarray:
     return _KRON[i, j].copy()
 
 
+def frozen(a: np.ndarray) -> np.ndarray:
+    """A copy of `a` over an immutable bytes buffer: read-only, and no caller
+    can make it writeable again.  For arrays cached and shared by all callers."""
+    return np.frombuffer(a.tobytes(), dtype=a.dtype).reshape(a.shape)
+
+
 def phase_stack(vals, times) -> np.ndarray:
     """diag(e^{-i t vals}) for each t in times, as a (len(times), n, n) stack."""
     times = np.asarray(times, dtype=float)

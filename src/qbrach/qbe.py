@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cliffrep import MAJORANA_LABELS, build_majorana
-from .matcore import BLOCK_SAMPLES, commutator, kron_matrix, max_abs, trace_pair, traceless_labels
+from .matcore import (BLOCK_SAMPLES, commutator, frozen, kron_matrix, max_abs, trace_pair,
+                      traceless_labels)
 
 Label = tuple[str, str]
 
@@ -97,14 +98,15 @@ class BrachSystem:
     k: float = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "h_span", tuple(self.h_span))
         object.__setattr__(self, "f_span", tuple(complement_span(self.h_span)))
         object.__setattr__(self, "k", float(np.trace(self.h0 @ self.h0).real / 2.0))
-        # H0 on its span is traceless with Tr[H0 F0] = 0 for every lambda0, at
-        # any scale; the test is written to fail on a NaN residual as well.
-        h, basis = np.asarray(self.h0).ravel(), _span(tuple(self.h_span))[1]
-        if not (max_abs(h - (np.conj(basis) @ h / 4) @ basis) <= 1e-12 * max_abs(h)
+        # H0 on its real span is Hermitian and traceless with Tr[H0 F0] = 0 for
+        # every lambda0, at any scale; the test fails on a NaN residual as well.
+        h, basis = np.asarray(self.h0).ravel(), _span(self.h_span)[1]
+        if not (max_abs(h - (np.conj(basis) @ h / 4).real @ basis) <= 1e-12 * max_abs(h)
                 and np.isfinite(self.lambda0).all()):
-            raise QbeError("H0 must lie on the span of h_span and lambda0 must be finite")
+            raise QbeError("H0 must lie on the real span of h_span and lambda0 must be finite")
 
     def f0(self) -> np.ndarray:
         return assemble_constraint(self.f_span, self.lambda0)
@@ -126,7 +128,7 @@ def majorana_system(m: float, p, lam=None) -> BrachSystem:
             lam[f_span.index(("z", "1"))] = -energy
         # Built only for a finite E, since an infinite one makes the default
         # F0 NaN; k = Tr[H0^2]/2 = 2 E^2 may still overflow.
-        sys_ = (BrachSystem(build_majorana().hamiltonian(m, p), tuple(MAJORANA_H_SPAN),
+        sys_ = (BrachSystem(build_majorana().hamiltonian(m, p), MAJORANA_H_SPAN,
                             np.asarray(lam, dtype=float))
                 if math.isfinite(energy) else None)
     if sys_ is None or not math.isfinite(sys_.k):
@@ -141,13 +143,7 @@ def angmom_system(h0: np.ndarray, f_coeffs) -> BrachSystem:
     The H span is the six imaginary Kronecker labels; the constraint span is
     the nine real symmetric traceless labels, with coefficients f_coeffs.
     """
-    return BrachSystem(h0, tuple(IMAG_LABELS), np.asarray(f_coeffs, dtype=float))
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """A copy of `a` over an immutable bytes buffer: read-only, and no caller
-    can make it writeable again.  For arrays cached and shared by all callers."""
-    return np.frombuffer(a.tobytes(), dtype=a.dtype).reshape(a.shape)
+    return BrachSystem(h0, IMAG_LABELS, np.asarray(f_coeffs, dtype=float))
 
 
 @functools.cache
@@ -155,8 +151,8 @@ def _span(labels: tuple[Label, ...]) -> tuple[np.ndarray, np.ndarray]:
     """(columns, basis) of `labels`: the position of each label in
     traceless_labels(), and their basis matrices, flattened, as rows of a (k, 16) array."""
     order = traceless_labels()
-    return (_frozen(np.array([order.index(lab) for lab in labels])),
-            _frozen(np.stack([kron_matrix(lab).ravel() for lab in labels])))
+    return (frozen(np.array([order.index(lab) for lab in labels])),
+            frozen(np.stack([kron_matrix(lab).ravel() for lab in labels])))
 
 
 @dataclass(frozen=True, eq=False)

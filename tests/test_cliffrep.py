@@ -15,6 +15,56 @@ from qbrach.cliffrep import (
 from qbrach.matcore import anticommutator, max_abs
 
 
+# The paper's matrices, written out: (beta, alpha_x, alpha_y, alpha_z).
+MAJORANA = (
+    [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]],
+    np.diag([1, -1, -1, 1]),
+    [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]],
+    [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]],
+)
+DIRAC = (
+    np.diag([1, 1, -1, -1]),
+    [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],
+    [[0, 0, 0, -1j], [0, 0, 1j, 0], [0, -1j, 0, 0], [1j, 0, 0, 0]],
+    [[0, 0, 1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, -1, 0, 0]],
+)
+
+
+def _matrices(rep):
+    return (rep.beta,) + rep.alpha + (rep.mass_gen,)
+
+
+@pytest.mark.parametrize("build, literal", [(build_majorana, MAJORANA), (build_dirac, DIRAC)],
+                         ids=["majorana", "dirac"])
+def test_representation_equals_the_written_matrices(build, literal):
+    rep = build()
+    for got, want in zip((rep.beta,) + rep.alpha, literal):
+        assert got.dtype == complex
+        assert np.array_equal(got, np.asarray(want, dtype=complex))
+
+
+def test_gammas_are_i_beta_alpha_of_the_dirac_set():
+    beta, *alpha = (np.asarray(a, dtype=complex) for a in DIRAC)
+    want = [beta] + [1j * beta @ a for a in alpha]
+    for got, w in zip(build_gamma_scatter(), want):
+        assert np.array_equal(got, w)
+
+
+@pytest.mark.parametrize("matrices", [
+    lambda: _matrices(build_majorana()),
+    lambda: _matrices(build_dirac()),
+    build_gamma_scatter,
+], ids=["majorana", "dirac", "gammas"])
+def test_representation_matrices_are_read_only(matrices):
+    # Every build shares one set of arrays, so a write would reach every
+    # later build; neither an element write nor the writeable flag is allowed.
+    for mat in matrices():
+        with pytest.raises(ValueError):
+            mat[0, 0] = 7
+        with pytest.raises(ValueError):
+            mat.flags.writeable = True
+
+
 def test_majorana_matrices_are_real_integers():
     rep = build_majorana()
     for mat in (rep.beta,) + rep.alpha:
@@ -102,8 +152,9 @@ P = (1.0, 1.0, 1.0)
     lambda: propagate.classify_mass(build_majorana(), 1.0, P, np.linspace(0.0, 3.0, 300)),
     lambda: frames.make_frame_case(np.ones(4), 0.7, 1.0, P),
     lambda: scatter.ScatterConfig(1.0, 1.0, np.array([0.5, 1.0])),
+    build_dirac,
 ], ids=["SpinorRep", "BrachSystem", "Trajectory", "EigenFrame", "MassReport", "FrameCase",
-        "ScatterConfig"])
+        "ScatterConfig", "SpinorRep-dirac"])
 def test_records_compare_and_hash_by_identity(build):
     # The generated __eq__ once compared the ndarray fields as a tuple, so ==
     # and `in` raised "truth value of an array is ambiguous"; hash() raised too.

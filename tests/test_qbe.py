@@ -105,6 +105,25 @@ def test_brach_system_rejects_h0_off_its_span():
         BrachSystem(h0, tuple(MAJORANA_H_SPAN), np.zeros(11))
 
 
+def test_brach_system_rejects_non_hermitian_h0():
+    # i*H0 has imaginary coefficients on the same labels.  Projected with them
+    # it lay on its span, so it was accepted with k = -8 and the flow started
+    # from H = 0.
+    h0 = 1j * majorana_system(1.0, (1.0, 1.0, 1.0)).h0
+    with pytest.raises(QbeError, match="real span of h_span"):
+        BrachSystem(h0, tuple(MAJORANA_H_SPAN), np.zeros(11))
+
+
+def test_brach_system_keeps_a_list_span_as_a_tuple():
+    # A list h_span was kept as given, and integrate_qbe then raised
+    # "unhashable type: 'list'" in the cached span lookup.
+    sys_ = majorana_system(1.3, (0.5, -2.0, 1.25), lam=np.linspace(-1.0, 1.0, 11))
+    listed = BrachSystem(sys_.h0, list(MAJORANA_H_SPAN), sys_.lambda0)
+    assert listed.h_span == tuple(MAJORANA_H_SPAN)
+    got, want = integrate_qbe(listed, 0.1, 1e-3), integrate_qbe(sys_, 0.1, 1e-3)
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
 @pytest.mark.parametrize("m, p", [(1e200, (1.0, 1.0, 1.0)), (1.0, (1e200, 1.0, 1.0)),
                                   (1e154, (1.0, 1.0, 1.0)), (np.nan, (1.0, 1.0, 1.0)),
                                   (1.0, (np.inf, 0.0, 0.0))])

@@ -47,6 +47,12 @@ cmds+=("frames --m 0 --px 1 --py 0 --pz 1 --t 0.7 --out frames-pivoted.json"
 # entries are rendered as "nan" strings.
 cmds+=("angmom --nx 1 --lyz 2 --t 0.5 --out angmom.json"
        "angmom --nx 1e300 --lyz 1e300 --t 1e10 --out angmom-nan.json")
+# Every representation at zero input, where a signed zero of a
+# representation's matrices could reach an output.
+cmds+=("classify-mass --rep dirac --m 0 --px 0 --py 0 --pz -0.0 --out classify-dirac-zero.json"
+       "classify-mass --rep majorana --m -0.0 --px 0 --py -0.0 --pz 0 --out classify-majorana-zero.json"
+       "frames --m -0.0 --px -0.0 --py 0 --pz -0.0 --t 0.7 --out frames-zero.json"
+       "compton --rep majorana --m 1 --omega1 1 --theta-grid 0:0:2 --out compton-zero.csv")
 # Documented refusals: each exits 2 and writes no file, but the diverging
 # flow, which exits 3; the gate compares their stderr and exit codes.
 cmds+=("evolve --m 1e200 ${mp[*]:2} --t-end 1 --step 0.1 --out refuse-e2.csv"
