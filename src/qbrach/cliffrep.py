@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .matcore import anticommutator, commutator, frozen, kron_matrix, max_abs, worst
+from .matcore import anticommutator, commutator, frozen, kron_matrix, max_abs
 
 _EYE4 = np.eye(4, dtype=complex)
 
@@ -33,10 +33,10 @@ _EYE4 = np.eye(4, dtype=complex)
 MAJORANA_LABELS = (("y", "1"), ("z", "z"), ("x", "1"), ("z", "x"))
 
 _MAJORANA_BETA = frozen(1j * kron_matrix(MAJORANA_LABELS[0]))
-_MAJORANA = (_MAJORANA_BETA, tuple(frozen(kron_matrix(lab)) for lab in MAJORANA_LABELS[1:]),
+_MAJORANA = (_MAJORANA_BETA, tuple(kron_matrix(lab) for lab in MAJORANA_LABELS[1:]),
              frozen(1j * _MAJORANA_BETA))
-_DIRAC_BETA = frozen(kron_matrix(("z", "1")))
-_DIRAC = (_DIRAC_BETA, tuple(frozen(kron_matrix(("x", i))) for i in "xyz"), _DIRAC_BETA)
+_DIRAC_BETA = kron_matrix(("z", "1"))
+_DIRAC = (_DIRAC_BETA, tuple(kron_matrix(("x", i)) for i in "xyz"), _DIRAC_BETA)
 _GAMMAS = (_DIRAC_BETA,) + tuple(frozen(-kron_matrix(("y", i))) for i in "xyz")
 
 
@@ -125,9 +125,3 @@ def verify_gamma_algebra() -> dict[str, float]:
     names = ("gamma_t", "gamma_x", "gamma_y", "gamma_z")
     return _clifford_residuals(list(zip(names, build_gamma_scatter())))
 
-
-def kron_decomposition_residual() -> float:
-    """Residual of the Majorana (i beta, a_x, a_y, a_z) against MAJORANA_LABELS."""
-    rep = build_majorana()
-    gens = (-rep.mass_gen,) + rep.alpha
-    return worst(max_abs(g - kron_matrix(lab)) for g, lab in zip(gens, MAJORANA_LABELS))

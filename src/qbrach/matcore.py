@@ -1,8 +1,8 @@
 """Dense complex matrix algebra over 2x2 and 4x4 matrices.
 
 Everything downstream works over the 16-element Pauli-Kronecker operator
-basis sigma_i (x) sigma_j.  Matrices are plain numpy complex128 arrays;
-all functions here are pure and never mutate their inputs.
+basis sigma_i (x) sigma_j, built once and shared read-only.  Matrices are
+numpy complex128 arrays; every function here is pure and mutates no input.
 """
 
 from __future__ import annotations
@@ -19,16 +19,23 @@ MAX_SAMPLES = 1_000_000
 
 PAULI_INDICES = ("1", "x", "y", "z")
 
+
+def frozen(a: np.ndarray) -> np.ndarray:
+    """A copy of `a` over an immutable bytes buffer: read-only, and no caller
+    can make it writeable again.  For arrays cached and shared by all callers."""
+    return np.frombuffer(a.tobytes(), dtype=a.dtype).reshape(a.shape)
+
+
 _PAULI = {
-    "1": np.eye(2, dtype=complex),
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "1": frozen(np.eye(2, dtype=complex)),
+    "x": frozen(np.array([[0, 1], [1, 0]], dtype=complex)),
+    "y": frozen(np.array([[0, -1j], [1j, 0]], dtype=complex)),
+    "z": frozen(np.array([[1, 0], [0, -1]], dtype=complex)),
 }
 
 
-# sigma_i (x) sigma_j for every label, built once; callers receive copies.
-_KRON = {(i, j): np.kron(_PAULI[i], _PAULI[j])
+# sigma_i (x) sigma_j for every label, built once; shared, read-only.
+_KRON = {(i, j): frozen(np.kron(_PAULI[i], _PAULI[j]))
          for i in PAULI_INDICES for j in PAULI_INDICES}
 
 
@@ -39,7 +46,7 @@ class MatrixError(ValueError):
 def pauli(index: str) -> np.ndarray:
     """Pauli matrix for index in {'1', 'x', 'y', 'z'} ('1' is the identity)."""
     try:
-        return _PAULI[index].copy()
+        return _PAULI[index]
     except KeyError:
         raise MatrixError(f"unknown Pauli index {index!r}") from None
 
@@ -67,32 +74,17 @@ def trace_pair(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.trace(a @ b))
 
 
-def basis16() -> list[tuple[tuple[str, str], np.ndarray]]:
-    """The 16 Kronecker-basis matrices sigma_i (x) sigma_j.
-
-    Ordered by (i, j) over ('1', 'x', 'y', 'z').  Mutually trace-orthogonal
-    with Tr[Y Y'] = 4 delta; only the ('1', '1') element has nonzero trace.
-    """
-    return [(lab, mat.copy()) for lab, mat in _KRON.items()]
-
-
 def traceless_labels() -> list[tuple[str, str]]:
     """The 15 Kronecker labels excluding the identity ('1', '1')."""
     return [lab for lab in _KRON if lab != ("1", "1")]
 
 
 def kron_matrix(label: tuple[str, str]) -> np.ndarray:
-    """Basis matrix for a Kronecker label (i, j), as a fresh copy."""
+    """Basis matrix for a Kronecker label (i, j), shared, read-only."""
     i, j = label
     if (i, j) not in _KRON:
         raise MatrixError(f"unknown Kronecker label {label!r}")
-    return _KRON[i, j].copy()
-
-
-def frozen(a: np.ndarray) -> np.ndarray:
-    """A copy of `a` over an immutable bytes buffer: read-only, and no caller
-    can make it writeable again.  For arrays cached and shared by all callers."""
-    return np.frombuffer(a.tobytes(), dtype=a.dtype).reshape(a.shape)
+    return _KRON[i, j]
 
 
 def phase_stack(vals, times) -> np.ndarray:

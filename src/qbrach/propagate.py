@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cliffrep import SpinorRep, build_majorana
-from .matcore import BLOCK_SAMPLES, basis16, max_abs, phase_stack
+from .matcore import BLOCK_SAMPLES, max_abs, phase_stack
 
 DEGENERACY_THRESHOLD = 1e-12
 
@@ -144,11 +144,6 @@ def evolve_hamiltonian(frame: EigenFrame, h0: np.ndarray, t) -> np.ndarray:
         raise PropagateError("h0 spectrum does not match the eigenframe")
     u = propagator(frame, t, 0.0)
     return u @ h0 @ u.conj().swapaxes(-1, -2)
-
-
-def project_coeffs(h: np.ndarray) -> dict[tuple[str, str], complex]:
-    """Coefficients c_a = Tr[h Y_a] / 4 over the 16-element Kronecker basis."""
-    return {lab: complex(np.trace(h @ mat)) / 4.0 for lab, mat in basis16()}
 
 
 def mass_series_from_pairs(m0: float, c_mass: np.ndarray, c_y: np.ndarray) -> np.ndarray:

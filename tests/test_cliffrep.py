@@ -8,11 +8,10 @@ from qbrach.cliffrep import (
     build_dirac,
     build_gamma_scatter,
     build_majorana,
-    kron_decomposition_residual,
     verify_algebra,
     verify_gamma_algebra,
 )
-from qbrach.matcore import anticommutator, max_abs
+from qbrach.matcore import anticommutator, kron_matrix, max_abs, pauli
 
 
 # The paper's matrices, written out: (beta, alpha_x, alpha_y, alpha_z).
@@ -54,7 +53,8 @@ def test_gammas_are_i_beta_alpha_of_the_dirac_set():
     lambda: _matrices(build_majorana()),
     lambda: _matrices(build_dirac()),
     build_gamma_scatter,
-], ids=["majorana", "dirac", "gammas"])
+    lambda: [kron_matrix((i, j)) for i in "1xyz" for j in "1xyz"] + [pauli(i) for i in "1xyz"],
+], ids=["majorana", "dirac", "gammas", "basis"])
 def test_representation_matrices_are_read_only(matrices):
     # Every build shares one set of arrays, so a write would reach every
     # later build; neither an element write nor the writeable flag is allowed.
@@ -106,10 +106,6 @@ def test_gamma_scatter_algebra():
 def test_gamma_set_squares_to_plus_one():
     for g in build_gamma_scatter():
         assert max_abs(g @ g - np.eye(4)) == 0
-
-
-def test_kron_decomposition():
-    assert kron_decomposition_residual() == 0.0
 
 
 def test_hamiltonian_hermitian_with_correct_spectrum():

@@ -6,7 +6,6 @@ import pytest
 from qbrach.matcore import (
     MatrixError,
     anticommutator,
-    basis16,
     commutator,
     kron_matrix,
     max_abs,
@@ -31,12 +30,16 @@ def test_pauli_rejects_unknown_index():
         pauli("w")
 
 
-def test_basis16_count_and_orthogonality():
+# The 16 Kronecker labels, ordered by (i, j) over ('1', 'x', 'y', 'z').
+LABELS16 = [(i, j) for i in "1xyz" for j in "1xyz"]
+
+
+def test_kron_basis_count_and_orthogonality():
     """The 16 Kronecker elements satisfy Tr[Y_a Y_b] = 4 delta_ab."""
-    elems = basis16()
+    elems = [kron_matrix(lab) for lab in LABELS16]
     assert len(elems) == 16
-    for i, (_, a) in enumerate(elems):
-        for j, (_, b) in enumerate(elems):
+    for i, a in enumerate(elems):
+        for j, b in enumerate(elems):
             expected = 4.0 if i == j else 0.0
             assert abs(trace_pair(a, b) - expected) < 1e-14
 
@@ -45,14 +48,15 @@ def test_traceless_labels_excludes_identity():
     labels = traceless_labels()
     assert len(labels) == 15
     assert ("1", "1") not in labels
-    assert labels == [lab for lab, _ in basis16() if lab != ("1", "1")]  # the same order
+    assert labels == [lab for lab in LABELS16 if lab != ("1", "1")]  # the same order
 
 
 def test_kron_matrix_matches_explicit_kron():
-    for (i, j), _ in basis16():
+    for i, j in LABELS16:
         assert max_abs(kron_matrix((i, j)) - np.kron(pauli(i), pauli(j))) == 0
-    # Each call returns its own array: writing to one leaves the next intact.
-    kron_matrix(("y", "z"))[0, 0] = 99.0
+        assert kron_matrix((i, j)) is kron_matrix((i, j))  # shared, not copied
+    with pytest.raises(ValueError):
+        kron_matrix(("y", "z"))[0, 0] = 99.0
     assert max_abs(kron_matrix(("y", "z")) - np.kron(pauli("y"), pauli("z"))) == 0
     with pytest.raises(MatrixError):
         kron_matrix(("w", "z"))

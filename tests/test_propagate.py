@@ -20,7 +20,6 @@ from qbrach.propagate import (
     evolve_hamiltonian,
     majorana_eigenframe,
     mass_series_from_pairs,
-    project_coeffs,
     propagator,
 )
 
@@ -271,13 +270,6 @@ def test_classify_rejects_overflowing_energy(rep):
     # "2E * step = inf must stay below pi".
     with np.errstate(all="raise"), pytest.raises(PropagateError, match="overflows"):
         classify_mass(rep, 1.0, (1e200, 1, 1), np.linspace(0.0, 3.0, 300))
-
-
-def test_project_coeffs_recovers_hamiltonian():
-    h = build_majorana().hamiltonian(0.8, (0.1, 0.2, 0.3))
-    coeffs = project_coeffs(h)
-    assert abs(coeffs[("y", "1")].real + 0.8) < 1e-14
-    assert abs(coeffs[("x", "1")].real - 0.2) < 1e-14
 
 
 def test_mass_series_zero_initial():
