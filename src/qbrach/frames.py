@@ -17,10 +17,6 @@ from .matcore import max_abs, pauli
 from .propagate import EigenFrame, evolve_hamiltonian, majorana_eigenframe, propagator
 
 
-class FrameError(ValueError):
-    """Raised on invalid frame-comparison input."""
-
-
 def expectation(h: np.ndarray, psi: np.ndarray) -> complex:
     """<psi| h |psi> for a normalized column vector psi."""
     psi = np.asarray(psi, dtype=complex).reshape(4)
@@ -43,7 +39,7 @@ def make_frame_case(v, t: float, m: float, p) -> FrameCase:
     v = np.asarray(v, dtype=complex).reshape(4)
     norm = np.linalg.norm(v)
     if norm == 0:
-        raise FrameError("state vector must be nonzero")
+        raise ValueError("state vector must be nonzero")
     v = v / norm
     frame = majorana_eigenframe(float(m), p)
     u = propagator(frame, t, 0.0)

@@ -39,21 +39,17 @@ _KRON = {(i, j): frozen(np.kron(_PAULI[i], _PAULI[j]))
          for i in PAULI_INDICES for j in PAULI_INDICES}
 
 
-class MatrixError(ValueError):
-    """Raised on dimension mismatches or invalid matrix inputs."""
-
-
 def pauli(index: str) -> np.ndarray:
     """Pauli matrix for index in {'1', 'x', 'y', 'z'} ('1' is the identity)."""
     try:
         return _PAULI[index]
     except KeyError:
-        raise MatrixError(f"unknown Pauli index {index!r}") from None
+        raise ValueError(f"unknown Pauli index {index!r}") from None
 
 
 def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
-        raise MatrixError(f"dimension mismatch: {a.shape} vs {b.shape}")
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -83,7 +79,7 @@ def kron_matrix(label: tuple[str, str]) -> np.ndarray:
     """Basis matrix for a Kronecker label (i, j), shared, read-only."""
     i, j = label
     if (i, j) not in _KRON:
-        raise MatrixError(f"unknown Kronecker label {label!r}")
+        raise ValueError(f"unknown Kronecker label {label!r}")
     return _KRON[i, j]
 
 

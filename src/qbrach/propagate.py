@@ -37,10 +37,6 @@ NYQUIST_MARGIN = 1e-9
 SPAN_MARGIN = 10.0
 
 
-class PropagateError(ValueError):
-    """Raised on inconsistent frame/Hamiltonian pairings and unresolving time grids."""
-
-
 @dataclass(frozen=True, eq=False)
 class EigenFrame:
     """Eigenvector matrix, its inverse, the diagonal D, the energy E and E^2."""
@@ -93,12 +89,12 @@ def majorana_eigenframe(m: float, p) -> EigenFrame:
 
 
 def _energy_sq(m: float, p: np.ndarray) -> float:
-    """E^2 = m^2 + |p|^2; raises PropagateError when it is not finite."""
+    """E^2 = m^2 + |p|^2; raises ValueError when it is not finite."""
     with np.errstate(over="ignore"):
         energy_sq = float(m * m + p @ p)
     if not math.isfinite(energy_sq):
-        raise PropagateError("E^2 = m^2 + |p|^2 is not finite: "
-                             "the Hamiltonian H = i m beta + alpha.p overflows")
+        raise ValueError("E^2 = m^2 + |p|^2 is not finite: "
+                         "the Hamiltonian H = i m beta + alpha.p overflows")
     return energy_sq
 
 
@@ -118,13 +114,13 @@ def _pivoted_frame(m: float, p, energy: float, energy_sq: float, d: np.ndarray) 
 def propagator(frame: EigenFrame, t, s) -> np.ndarray:
     """U(t, s) = W(t) W^-1(s) = diag(e^{-2iE(t-s)}, e^{-2iE(t-s)}, 1, 1), stacked
     over arrays t, s: the bare exp(-i(t-s)D) times the universal phase e^{-iE(t-s)}.
-    Raises PropagateError when a phase angle 2E(t - s) is not finite."""
+    Raises ValueError when a phase angle 2E(t - s) is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         tau = np.subtract(t, s, dtype=float)
         finite = np.isfinite(2.0 * frame.energy * tau)
     if not finite.all():
-        raise PropagateError(f"2 E (t - s) is not finite at E = {frame.energy:g}, "
-                             f"t - s = {tau[~finite][0]:g}")
+        raise ValueError(f"2 E (t - s) is not finite at E = {frame.energy:g}, "
+                         f"t - s = {tau[~finite][0]:g}")
     out = np.zeros(tau.shape + (4, 4), dtype=complex)
     out[..., range(4), range(4)] = (np.exp(-1j * frame.energy * tau)[..., None]
                                     * np.exp(-1j * tau[..., None] * np.diag(frame.d)))
@@ -141,7 +137,7 @@ def evolve_hamiltonian(frame: EigenFrame, h0: np.ndarray, t) -> np.ndarray:
     share the frame's spectrum, to within 1e-8 relative to E once E exceeds 1."""
     expected = np.sort(np.diag(frame.d).real)
     if max_abs(np.linalg.eigvalsh(h0) - expected) > 1e-8 * max(1.0, frame.energy):
-        raise PropagateError("h0 spectrum does not match the eigenframe")
+        raise ValueError("h0 spectrum does not match the eigenframe")
     u = propagator(frame, t, 0.0)
     return u @ h0 @ u.conj().swapaxes(-1, -2)
 
@@ -193,20 +189,20 @@ def classify_mass(rep: SpinorRep, m0: float, p, t_grid) -> MassReport:
     p = np.asarray(p, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size < 2:
-        raise PropagateError("t_grid needs at least 2 samples to classify")
+        raise ValueError("t_grid needs at least 2 samples to classify")
     if not np.ptp(t_grid) > 0:
-        raise PropagateError("t_grid needs a nonzero span to classify")
+        raise ValueError("t_grid needs a nonzero span to classify")
     energy = math.sqrt(_energy_sq(m0, p))
     expected_rate = 2.0 * energy
     dt = np.abs(np.diff(t_grid)).max()
     if not expected_rate * dt < np.pi * (1.0 - NYQUIST_MARGIN):
-        raise PropagateError(f"t_grid step {dt:.6g} does not resolve the mass rotation: "
-                             f"2E * step = {expected_rate * dt:.6g} must stay below pi")
+        raise ValueError(f"t_grid step {dt:.6g} does not resolve the mass rotation: "
+                         f"2E * step = {expected_rate * dt:.6g} must stay below pi")
     reach = 2.0 * abs(m0) * float(np.abs(np.sin(energy * (t_grid - t_grid[0]))).max())
     if m0 != 0 and not reach > SPAN_MARGIN * CLASSIFY_TOL:
-        raise PropagateError(f"t_grid span {np.ptp(t_grid):.6g} is too short to classify: "
-                             f"a rotating mass would move at most {reach:.3g}, "
-                             f"not above {SPAN_MARGIN * CLASSIFY_TOL:.3g}")
+        raise ValueError(f"t_grid span {np.ptp(t_grid):.6g} is too short to classify: "
+                         f"a rotating mass would move at most {reach:.3g}, "
+                         f"not above {SPAN_MARGIN * CLASSIFY_TOL:.3g}")
 
     # U is the bare exp(-itD): propagator's U(t, 0) differs by e^{-iEt}, which would move bits.
     h0 = rep.hamiltonian(m0, p)

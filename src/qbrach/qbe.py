@@ -42,10 +42,6 @@ GRID_RTOL = 1e-9
 DRIFTS = ("isotropic", "cross_trace", "total_square", "spectrum")
 
 
-class QbeError(ValueError):
-    """Raised on invalid system setup or an invalid time grid."""
-
-
 class DivergenceError(ArithmeticError):
     """Raised when an integration reaches non-finite coefficients: a numerical
     failure of valid input, not an input error."""
@@ -54,9 +50,9 @@ class DivergenceError(ArithmeticError):
 def complement_span(h_span: list[Label]) -> list[Label]:
     """Traceless labels not in h_span, in canonical basis order."""
     if not h_span:
-        raise QbeError("h_span must be non-empty")
+        raise ValueError("h_span must be non-empty")
     if ("1", "1") in h_span:
-        raise QbeError("identity label not allowed in h_span")
+        raise ValueError("identity label not allowed in h_span")
     taken = set(h_span)
     return [lab for lab in traceless_labels() if lab not in taken]
 
@@ -65,7 +61,7 @@ def assemble_constraint(f_span: list[Label], lam) -> np.ndarray:
     """F = sum_a lambda_a Y_a over the complement labels."""
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (len(f_span),):
-        raise QbeError(f"expected {len(f_span)} coefficients, got {lam.shape}")
+        raise ValueError(f"expected {len(f_span)} coefficients, got {lam.shape}")
     return np.dot(lam, _span(tuple(f_span))[1]).reshape(4, 4)
 
 
@@ -106,7 +102,7 @@ class BrachSystem:
         h, basis = np.asarray(self.h0).ravel(), _span(self.h_span)[1]
         if not (max_abs(h - (np.conj(basis) @ h / 4).real @ basis) <= 1e-12 * max_abs(h)
                 and np.isfinite(self.lambda0).all()):
-            raise QbeError("H0 must lie on the real span of h_span and lambda0 must be finite")
+            raise ValueError("H0 must lie on the real span of h_span and lambda0 must be finite")
 
     def f0(self) -> np.ndarray:
         return assemble_constraint(self.f_span, self.lambda0)
@@ -132,8 +128,8 @@ def majorana_system(m: float, p, lam=None) -> BrachSystem:
                             np.asarray(lam, dtype=float))
                 if math.isfinite(energy) else None)
     if sys_ is None or not math.isfinite(sys_.k):
-        raise QbeError("E^2 = m^2 + |p|^2 or k = Tr[H^2/2] is not finite: "
-                       "the Hamiltonian H = i m beta + alpha.p overflows")
+        raise ValueError("E^2 = m^2 + |p|^2 or k = Tr[H^2/2] is not finite: "
+                         "the Hamiltonian H = i m beta + alpha.p overflows")
     return sys_
 
 
@@ -197,15 +193,15 @@ def integrate_qbe(sys: BrachSystem, t_end: float, step: float) -> Trajectory:
     not all finite.
     """
     if not (math.isfinite(step) and math.isfinite(t_end) and step > 0 and t_end > 0):
-        raise QbeError("step and t_end must be positive and finite")
+        raise ValueError("step and t_end must be positive and finite")
     ratio = t_end / step
     if ratio > MAX_STEPS + 0.5:
-        raise QbeError(f"t_end / step = {ratio:g} exceeds the cap of {MAX_STEPS} steps")
+        raise ValueError(f"t_end / step = {ratio:g} exceeds the cap of {MAX_STEPS} steps")
     n = round(ratio)
     if n == 0:
-        raise QbeError(f"t_end / step = {ratio:g} rounds to 0 steps")
+        raise ValueError(f"t_end / step = {ratio:g} rounds to 0 steps")
     if abs(ratio - n) > GRID_RTOL * ratio:
-        raise QbeError(f"t_end / step = {ratio!r} is not an integer number of steps")
+        raise ValueError(f"t_end / step = {ratio!r} is not an integer number of steps")
 
     labels = tuple(traceless_labels())
     # H and F of a stage as one product c @ basis: row a of basis is Y_a,

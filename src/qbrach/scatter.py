@@ -29,10 +29,6 @@ from .cliffrep import MAJORANA_LABELS, build_gamma_scatter, build_majorana
 from .matcore import BLOCK_SAMPLES, anticommutator, kron_matrix, pauli
 
 
-class ScatterError(ValueError):
-    """Raised on invalid kinematic input."""
-
-
 @dataclass(frozen=True, eq=False)
 class ScatterConfig:
     """One Compton case; theta is one angle or a 1-D array of angles."""
@@ -46,18 +42,18 @@ class ScatterConfig:
         _check_mass_frequency(self.m, self.omega1)
         theta = np.asarray(self.theta, dtype=float)
         if theta.ndim > 1 or theta.size == 0:
-            raise ScatterError("theta must be one angle or a non-empty 1-D array of angles")
+            raise ValueError("theta must be one angle or a non-empty 1-D array of angles")
         if not np.all((0.0 <= theta) & (theta <= np.pi)):  # a NaN fails both
-            raise ScatterError("theta must lie in [0, pi]")
+            raise ValueError("theta must lie in [0, pi]")
         if self.rep not in ("gamma", "majorana"):
-            raise ScatterError(f"unknown representation {self.rep!r}")
+            raise ValueError(f"unknown representation {self.rep!r}")
 
 
 def _check_mass_frequency(m: float, omega1: float) -> None:
     if m <= 0 or omega1 <= 0:
-        raise ScatterError("m and omega1 must be positive")
+        raise ValueError("m and omega1 must be positive")
     if not (math.isfinite(m) and math.isfinite(omega1)):  # NaN passes the test above
-        raise ScatterError("m and omega1 must be finite")
+        raise ValueError("m and omega1 must be finite")
 
 
 def compton_omega2(m: float, omega1: float, theta):
@@ -66,7 +62,7 @@ def compton_omega2(m: float, omega1: float, theta):
     with np.errstate(over="ignore"):
         w2 = 1.0 / (1.0 / omega1 + (1.0 - np.cos(theta)) / m)
     if np.any(w2 <= 0):  # for m, omega1 > 0 only when 1/w2 overflows to inf
-        raise ScatterError("1/omega1 + (1 - cos(theta))/m overflows, so omega2 underflows to 0")
+        raise ValueError("1/omega1 + (1 - cos(theta))/m overflows, so omega2 underflows to 0")
     return w2
 
 

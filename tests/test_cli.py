@@ -813,6 +813,15 @@ def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 
 
+def test_cold_start_does_not_import_numpy_random():
+    # numpy.random adds milliseconds and megabytes to a cold start; only the
+    # seeded commands need it, and numpy imports it when they first call it.
+    res = subprocess.run([sys.executable, "-c", "import sys, qbrach.cli; "
+                          "qbrach.cli.build_parser(); print('numpy.random' in sys.modules)"],
+                         capture_output=True, text=True)
+    assert (res.returncode, res.stdout, res.stderr) == (0, "False\n", "")
+
+
 # Commands run one after another through one parser: valid runs, an argparse
 # error, a non-finite option, and a run that leaves at their defaults the
 # options the first call set.

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qbrach.matcore import (
-    MatrixError,
     anticommutator,
     commutator,
     kron_matrix,
@@ -26,7 +25,7 @@ def test_pauli_algebra():
 
 
 def test_pauli_rejects_unknown_index():
-    with pytest.raises(MatrixError):
+    with pytest.raises(ValueError, match="unknown Pauli index 'w'"):
         pauli("w")
 
 
@@ -58,7 +57,7 @@ def test_kron_matrix_matches_explicit_kron():
     with pytest.raises(ValueError):
         kron_matrix(("y", "z"))[0, 0] = 99.0
     assert max_abs(kron_matrix(("y", "z")) - np.kron(pauli("y"), pauli("z"))) == 0
-    with pytest.raises(MatrixError):
+    with pytest.raises(ValueError, match="unknown Kronecker label"):
         kron_matrix(("w", "z"))
 
 

@@ -5,7 +5,7 @@ Over m in [0.1, 3], p in [-3, 3]^3, t_end up to 10 and 2 to 500 samples on
 np.linspace(0, t_end, samples): a grid whose steps resolve the rotation at
 rate 2E, and whose span lets a rotating mass move more than
 SPAN_MARGIN * CLASSIFY_TOL, gives CONSTANT for the Dirac mass and ROTATING
-at 2E for the Majorana mass; every other grid raises PropagateError.
+at 2E for the Majorana mass; every other grid raises ValueError.
 
 Multiplying by 2^j is exact in binary floating point away from overflow and
 underflow, and the flow, its audit and the closed forms are homogeneous, so
@@ -28,7 +28,6 @@ from qbrach.propagate import (
     CLASSIFY_TOL,
     NYQUIST_MARGIN,
     SPAN_MARGIN,
-    PropagateError,
     classify_mass,
     evolve_hamiltonian,
     majorana_eigenframe,
@@ -59,7 +58,7 @@ def _check_grid(m, p, t_end, samples):
         assert abs(report.phase_rate - rate) / rate < 1e-6
     else:
         for rep in (build_dirac(), build_majorana()):
-            with pytest.raises(PropagateError):
+            with pytest.raises(ValueError, match="^t_grid"):
                 classify_mass(rep, m, p, grid)
 
 

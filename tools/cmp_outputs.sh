@@ -62,7 +62,14 @@ cmds+=("evolve --m 1e200 ${mp[*]:2} --t-end 1 --step 0.1 --out refuse-e2.csv"
        "classify-mass --rep majorana ${mp[*]} --samples 3 --out refuse-step.json"
        "compton --rep gamma --m 1e-308 --omega1 1 --theta-grid 0:pi:4 --out refuse-omega2.csv"
        "frames ${mp[*]} --t 1e308 --out refuse-phase.json"
-       "angmom-conserve --seed 1 --t-end 1e300 --step 1e296 --out refuse-diverging.json")
+       "angmom-conserve --seed 1 --t-end 1e300 --step 1e296 --out refuse-diverging.json"
+       "evolve ${mp[*]} --t-end 1 --step 0 --out refuse-step-zero.csv"
+       "evolve ${mp[*]} --t-end 1 --step 1e-7 --out refuse-step-cap.csv"
+       "evolve ${mp[*]} --t-end 0.1 --step 1 --out refuse-step-round.csv"
+       "classify-mass --rep majorana --m 1e200 ${mp[*]:2} --out refuse-classify-e2.json"
+       "classify-mass --rep dirac ${mp[*]} --t-end 0 --out refuse-no-span.json"
+       "compton --rep gamma --m 1 --omega1 1 --theta-grid 0:4:4 --out refuse-theta.csv"
+       "compton --rep majorana --m 0 --omega1 1 --theta-grid 0:pi:4 --out refuse-mass.csv")
 
 run() {  # run() SIDE TREE: every command from TREE, its files saved under $work/SIDE
   local src
