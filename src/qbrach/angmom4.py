@@ -13,7 +13,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .matcore import phase_stack
+from .matcore import block_slices, max_abs, phase_stack
 from .qbe import angmom_system, conserved_residuals, integrate_qbe
 
 
@@ -72,10 +72,10 @@ def qbe_conservation(n, l, f_coeffs, t_end: float, step: float) -> dict:
     m_mat = assemble_tensor(n, l)
     f0 = traj.f_at(0)
     worst = []
-    for lo, h, f in traj.blocks():
-        rot = flow(m_mat, traj.times[lo:lo + len(h)])
+    for rows in block_slices(len(traj.times)):
+        rot = flow(m_mat, traj.times[rows])
         oracle = rot @ f0 @ rot.conj().transpose(0, 2, 1)
-        worst.append([np.max(np.abs(h - h0)), np.max(np.abs(f - oracle))])
+        worst.append([max_abs(traj.h_at(rows) - h0), max_abs(traj.f_at(rows) - oracle)])
     h_drift, f_resid = np.max(worst, axis=0)
 
     report = conserved_residuals(traj)

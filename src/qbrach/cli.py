@@ -21,7 +21,7 @@ import numpy as np
 
 from . import angmom4, frames, propagate, qbe, scatter
 from .cliffrep import build_dirac, build_majorana, verify_algebra, verify_gamma_algebra
-from .matcore import (BLOCK_SAMPLES, MAX_SAMPLES, anticommutator, kron_matrix, max_abs,
+from .matcore import (MAX_SAMPLES, anticommutator, block_slices, kron_matrix, max_abs,
                       traceless_labels, worst)
 
 SCHEMA_VERSION = "1"
@@ -86,15 +86,14 @@ def _check_out_dir(path: str) -> None:
 def _write_csv(path: str, header: list[str], *columns: np.ndarray) -> None:
     """Write float arrays of equal length side by side, a 1-D array as one
     column and a 2-D array as several, with 17 significant digits.  Rows are
-    rendered, by one % on the row template repeated once per row, and
-    written one block of BLOCK_SAMPLES at a time, so memory beyond the arrays
-    stays bounded whatever their length."""
+    rendered, by one % on the row template repeated once per row, and written
+    per block of block_slices, so memory beyond the arrays stays bounded whatever their length."""
     width = sum(1 if np.ndim(c) == 1 else np.shape(c)[1] for c in columns)
     row = ",".join(["%.17g"] * width) + "\n"  # '%.17g' % x == format(x, ".17g")
     with open(_resolve_out(path), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for lo in range(0, len(columns[0]), BLOCK_SAMPLES):
-            block = np.column_stack([c[lo:lo + BLOCK_SAMPLES] for c in columns])
+        for cut in block_slices(len(columns[0])):
+            block = np.column_stack([c[cut] for c in columns])
             fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
@@ -218,11 +217,10 @@ def _cmd_evolve(args) -> int:
 
     invariants = qbe.initial_invariants(traj)
     res = np.empty((len(traj.times), 4))
-    for lo in range(0, len(res), BLOCK_SAMPLES):
-        hi = min(lo + BLOCK_SAMPLES, len(res))
-        h = np.array([traj.h_at(i) for i in range(lo, hi)])
-        f = np.array([traj.f_at(i) for i in range(lo, hi)])
-        res[lo:hi] = np.column_stack(qbe.drifts(h, f, traj.system.k, *invariants))
+    for rows in block_slices(len(res)):
+        h = np.array([traj.h_at(i) for i in range(rows.start, rows.stop)])
+        f = np.array([traj.f_at(i) for i in range(rows.start, rows.stop)])
+        res[rows] = np.column_stack(qbe.drifts(h, f, traj.system.k, *invariants))
     header = (["t"] + [f"c_{i}{j}" for i, j in traceless_labels()]
               + [f"res_{name}" for name in qbe.DRIFTS])
     _write_csv(args.out, header, traj.times, traj.coeffs, res)

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# Samples per block when a time series of matrices is built as one stack:
-# bounds the memory of an audit or a classification whatever the series length.
+# Samples per block of block_slices, when a series is built as one stack: bounds
+# the memory of an audit or a classification whatever the series length.
 BLOCK_SAMPLES = 256
 
 # Most samples a time or angle grid may hold.  A grid is allocated whole
@@ -90,6 +90,11 @@ def phase_stack(vals, times) -> np.ndarray:
     out = np.zeros((len(times), n, n), dtype=complex)
     out[:, range(n), range(n)] = np.exp(-1j * times[:, None] * vals)
     return out
+
+
+def block_slices(n: int) -> list[slice]:
+    """The consecutive slices of at most BLOCK_SAMPLES indices that cover range(n)."""
+    return [slice(lo, min(lo + BLOCK_SAMPLES, n)) for lo in range(0, n, BLOCK_SAMPLES)]
 
 
 def max_abs(a: np.ndarray) -> float:

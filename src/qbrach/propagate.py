@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cliffrep import SpinorRep, build_majorana
-from .matcore import BLOCK_SAMPLES, max_abs, phase_stack
+from .matcore import block_slices, max_abs, phase_stack
 
 DEGENERACY_THRESHOLD = 1e-12
 
@@ -209,10 +209,9 @@ def classify_mass(rep: SpinorRep, m0: float, p, t_grid) -> MassReport:
     vals = energy * np.array([1.0, 1.0, -1.0, -1.0])
     c_mass = np.empty(t_grid.size)
     c_y = np.empty(t_grid.size)
-    for lo in range(0, t_grid.size, BLOCK_SAMPLES):
-        u = phase_stack(vals, t_grid[lo:lo + BLOCK_SAMPLES])
+    for rows in block_slices(t_grid.size):
+        u = phase_stack(vals, t_grid[rows])
         h_t = u @ h0 @ u.conj().transpose(0, 2, 1)
-        rows = slice(lo, lo + len(u))
         c_mass[rows] = np.trace(h_t @ rep.mass_gen, axis1=1, axis2=2).real / 4.0
         c_y[rows] = np.trace(h_t @ rep.alpha[1], axis1=1, axis2=2).real / 4.0
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cliffrep import MAJORANA_LABELS, build_majorana
-from .matcore import (BLOCK_SAMPLES, commutator, frozen, kron_matrix, max_abs, trace_pair,
+from .matcore import (block_slices, commutator, frozen, kron_matrix, max_abs, trace_pair,
                       traceless_labels)
 
 Label = tuple[str, str]
@@ -170,18 +170,13 @@ class Trajectory:
         c = c[cols] if c.ndim == 1 else c[:, cols]  # c[..., cols] is slower by 0.65 us a row
         return c.dot(basis).reshape(c.shape[:-1] + (4, 4))
 
-    def blocks(self):
-        """(lo, H, F) for consecutive blocks of at most BLOCK_SAMPLES samples,
-        where H and F are the stacks for samples lo, lo + 1, ..."""
-        for lo in range(0, len(self.times), BLOCK_SAMPLES):
-            rows = slice(lo, lo + BLOCK_SAMPLES)
-            yield lo, self._stack(self.system.h_span, rows), self._stack(self.system.f_span, rows)
+    def h_at(self, rows: int | slice) -> np.ndarray:
+        """H at one sample, 4x4 by a 1-D product, or at a slice, (k, 4, 4) by one 2-D product."""
+        return self._stack(self.system.h_span, rows)
 
-    def h_at(self, i: int) -> np.ndarray:
-        return self._stack(self.system.h_span, i)
-
-    def f_at(self, i: int) -> np.ndarray:
-        return self._stack(self.system.f_span, i)
+    def f_at(self, rows: int | slice) -> np.ndarray:
+        """F at one sample, 4x4 by a 1-D product, or at a slice, (k, 4, 4) by one 2-D product."""
+        return self._stack(self.system.f_span, rows)
 
 
 def integrate_qbe(sys: BrachSystem, t_end: float, step: float) -> Trajectory:
@@ -262,14 +257,15 @@ def integrate_qbe(sys: BrachSystem, t_end: float, step: float) -> Trajectory:
     times = np.arange(n + 1) * step
     out = np.empty((n + 1, len(labels)))
     out[0] = c0
+    # Step i takes row i of out to row i + 1, that is before[i] to after[i].
+    before, after = out[:-1], out[1:]
     # A diverging flow overflows before the check below stops it; silence
     # numpy's overflow warnings, since the check reports the divergence.
     # Non-finite coefficients stay non-finite, so one check per block of
-    # rows finds the first of them.
+    # steps finds the first of them.
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(1, n + 1, BLOCK_SAMPLES):
-            hi = min(lo + BLOCK_SAMPLES, n + 1)
-            for c, new in zip(out[lo - 1:hi - 1], out[lo:hi]):
+        for steps in block_slices(n):
+            for c, new in zip(before[steps], after[steps]):
                 copyto(arg_real, c)
                 for k, scale in stages:
                     dot(arg, basis, hf_flat)
@@ -285,9 +281,10 @@ def integrate_qbe(sys: BrachSystem, t_end: float, step: float) -> Trajectory:
                 multiply(k23, two, out=k23)
                 add_reduce(ks, axis=0, out=stage)
                 add(c, multiply(stage, sixth, out=stage), out=new)
-            bad = ~np.isfinite(out[lo:hi]).all(axis=1)
+            bad = ~np.isfinite(after[steps]).all(axis=1)
             if bad.any():
-                raise DivergenceError(f"non-finite coefficients at t = {times[lo + bad.argmax()]}")
+                row = steps.start + bad.argmax() + 1
+                raise DivergenceError(f"non-finite coefficients at t = {times[row]}")
 
     return Trajectory(times, out, sys)
 
@@ -329,7 +326,7 @@ def conserved_residuals(traj: Trajectory) -> dict[str, float]:
 
     Each drift is the largest over all samples and is NaN if any sample's is.
     """
-    invariants = initial_invariants(traj)
-    worst = [[np.max(d) for d in drifts(h, f, traj.system.k, *invariants)]
-             for _, h, f in traj.blocks()]
+    invariants = (traj.system.k, *initial_invariants(traj))
+    worst = [[np.max(d) for d in drifts(traj.h_at(rows), traj.f_at(rows), *invariants)]
+             for rows in block_slices(len(traj.times))]
     return {f"{name}_drift": float(d) for name, d in zip(DRIFTS, np.max(worst, axis=0))}

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cliffrep import MAJORANA_LABELS, build_gamma_scatter, build_majorana
-from .matcore import BLOCK_SAMPLES, anticommutator, kron_matrix, pauli
+from .matcore import anticommutator, block_slices, kron_matrix, pauli
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,17 +124,17 @@ def verify_conservation(cfg: ScatterConfig) -> dict:
 
     One call covers every angle of cfg.theta: each value is an np.float64
     for one angle and an array over the angles for many, equal bit for bit
-    to the per-angle values.  A grid is checked in blocks of BLOCK_SAMPLES
-    angles, so its (k, 4, 4) stacks stay bounded whatever its length.
+    to the per-angle values.  A grid is checked per block of block_slices,
+    so its (k, 4, 4) stacks stay bounded whatever its length.
 
     Inputs too large for float64 give inf or NaN residuals, which fail any
     `< tol` verdict; numpy does not warn about the overflow.
     """
     theta = np.asarray(cfg.theta, dtype=float)
-    if theta.size <= BLOCK_SAMPLES:
+    cuts = block_slices(theta.size)
+    if len(cuts) == 1:
         return _residuals(cfg)
-    blocks = [_residuals(replace(cfg, theta=theta[lo:lo + BLOCK_SAMPLES]))
-              for lo in range(0, theta.size, BLOCK_SAMPLES)]
+    blocks = [_residuals(replace(cfg, theta=theta[rows])) for rows in cuts]
     return {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
 
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from qbrach.matcore import (
+    BLOCK_SAMPLES,
     anticommutator,
+    block_slices,
     commutator,
     kron_matrix,
     max_abs,
@@ -83,3 +85,14 @@ def test_worst_propagates_nan(at):
 def test_worst_rejects_empty():
     with pytest.raises(ValueError):
         worst([])
+
+
+def test_block_slices_cover_range_in_full_blocks():
+    """In order and contiguous from 0 to n, 1 to BLOCK_SAMPLES indices each,
+    and every slice but the last full."""
+    assert block_slices(0) == []
+    for n in (0, 1, 255, 256, 257, 512, 513, 1000):
+        covered = [range(n)[s] for s in block_slices(n)]
+        assert [i for r in covered for i in r] == list(range(n))
+        assert all(1 <= len(r) <= BLOCK_SAMPLES for r in covered)
+        assert all(len(r) == BLOCK_SAMPLES for r in covered[:-1])

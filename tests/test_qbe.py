@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from qbrach.angmom4 import toy_hamiltonian
 from qbrach.cliffrep import build_majorana
-from qbrach.matcore import BLOCK_SAMPLES, kron_matrix, max_abs, trace_pair, traceless_labels
+from qbrach.matcore import (BLOCK_SAMPLES, block_slices, kron_matrix, max_abs, trace_pair,
+                            traceless_labels)
 from qbrach.qbe import (
     IMAG_LABELS,
     MAJORANA_H_SPAN,
@@ -371,15 +372,15 @@ EXACTNESS = settings(max_examples=12, phases=[Phase.explicit, Phase.generate])
 
 
 def _assert_bit_exact(sys_, step):
-    """integrate_qbe, h_at, f_at and every blocks() stack equal the references."""
+    """integrate_qbe, h_at, f_at and their stack for every block equal the references."""
     traj = integrate_qbe(sys_, STEPS * step, step)
     assert traj.coeffs.tobytes() == _reference_coeffs(sys_, step, STEPS).tobytes()
     for i in (0, 1, STEPS // 2, STEPS, -1):
         assert traj.h_at(i).tobytes() == _resum(traj, traj.system.h_span, i).tobytes()
         assert traj.f_at(i).tobytes() == _resum(traj, traj.system.f_span, i).tobytes()
     seen = 0
-    for lo, h, f in traj.blocks():
-        rows = slice(lo, lo + BLOCK_SAMPLES)
+    for rows in block_slices(len(traj.times)):
+        h, f = traj.h_at(rows), traj.f_at(rows)
         assert h.tobytes() == _loop_stack(traj, traj.system.h_span, rows).tobytes()
         assert f.tobytes() == _loop_stack(traj, traj.system.f_span, rows).tobytes()
         seen += len(h)
@@ -420,15 +421,16 @@ def test_flow_is_bit_exact_at_any_step(sys_, step):
 @EXACTNESS
 @given(sys_=st.one_of(_MAJORANA, _ANGMOM), step=st.sampled_from([1e-3, 1e-2, 5e-2]))
 def test_each_row_rebuild_equals_its_block_row(sys_, step):
-    # h_at and f_at rebuild one row by a 1-D product, blocks() a block by a
+    # h_at and f_at rebuild one row by a 1-D product and a block of rows by a
     # 2-D one: every row must carry the same bits either way.
     full = integrate_qbe(sys_, BLOCK_SAMPLES * step, step)
     for rows in (1, BLOCK_SAMPLES, BLOCK_SAMPLES + 1):
         traj = replace(full, times=full.times[:rows], coeffs=full.coeffs[:rows])
         seen = 0
-        for lo, h, f in traj.blocks():
+        for block in block_slices(len(traj.times)):
+            h, f = traj.h_at(block), traj.f_at(block)
             for j in range(len(h)):
-                row_h, row_f = traj.h_at(lo + j), traj.f_at(lo + j)
+                row_h, row_f = traj.h_at(block.start + j), traj.f_at(block.start + j)
                 assert row_h.shape == row_f.shape == (4, 4)
                 assert row_h.tobytes() == h[j].tobytes() and row_f.tobytes() == f[j].tobytes()
             seen += len(h)
@@ -457,8 +459,9 @@ def test_stacked_drifts_equal_row_by_row(m, p, lam, step):
     invariants = initial_invariants(traj)
     rows = np.array([drifts(traj.h_at(i), traj.f_at(i), sys_.k, *invariants)
                      for i in range(len(traj.times))])
-    stacked = np.concatenate([np.stack(drifts(h, f, sys_.k, *invariants), axis=1)
-                              for _, h, f in traj.blocks()])
+    stacked = np.concatenate([
+        np.stack(drifts(traj.h_at(block), traj.f_at(block), sys_.k, *invariants), axis=1)
+        for block in block_slices(len(traj.times))])
     assert rows.shape == stacked.shape == (301, 4)
     assert stacked.tobytes() == rows.tobytes()
     for i in (0, 1, BLOCK_SAMPLES, 300):

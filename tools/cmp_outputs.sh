@@ -23,6 +23,12 @@ cmds+=("evolve --m 1.3 --px 0.5 --py -2 --pz 1.25 --t-end 1 --step 1e-4 --out ev
 # row), and a single step (2 rows).
 cmds+=("evolve --m 0.7 --px -1.5 --py 0 --pz 2.25 --t-end=0.256 --step=1e-3 --out evolve-257.csv"
        "evolve --m 0.7 --px -1.5 --py 0 --pz 2.25 --t-end=1e-3 --step=1e-3 --out evolve-2.csv")
+# Block edges of the other blocked loops, each over BLOCK_SAMPLES + 1 samples
+# (a last block of one sample): both audits of angmom-conserve, the classifier's
+# time grid and verify_conservation's blocked path.
+cmds+=("angmom-conserve --seed 7 --t-end=0.256 --step=1e-3 --out angmom-conserve-257.json"
+       "classify-mass --rep majorana ${mp[*]} --samples 257 --out classify-majorana-257.json"
+       "compton --rep gamma --m 1 --omega1 1 --theta-grid 0:pi:257 --out compton-257.csv")
 for r in majorana dirac; do cmds+=("classify-mass --rep $r ${mp[*]} --out classify-$r.json"); done
 # At m = 0 each builder's mass generator goes through the zero series of
 # mass_series_from_pairs.
