@@ -63,6 +63,8 @@ class SpinorRep:
     def hamiltonian(self, m: float, p: np.ndarray) -> np.ndarray:
         """H = m * mass_gen + alpha . p (Hermitian by construction)."""
         p = np.asarray(p, dtype=float)
+        if p.shape != (3,):
+            raise ValueError(f"p must be a 3-vector, got shape {p.shape}")
         h = m * self.mass_gen
         for pi, ai in zip(p, self.alpha):
             h = h + pi * ai

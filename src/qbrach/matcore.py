@@ -13,8 +13,8 @@ import numpy as np
 # the memory of an audit or a classification whatever the series length.
 BLOCK_SAMPLES = 256
 
-# Most samples a time or angle grid may hold.  A grid is allocated whole
-# before it is processed block by block, so its length must be bounded.
+# Most samples of every series held whole: a time or angle grid, or the steps
+# of a trajectory.  Each is allocated whole, so its length must be bounded.
 MAX_SAMPLES = 1_000_000
 
 PAULI_INDICES = ("1", "x", "y", "z")

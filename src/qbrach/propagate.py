@@ -187,6 +187,7 @@ def classify_mass(rep: SpinorRep, m0: float, p, t_grid) -> MassReport:
     constant.
     """
     p = np.asarray(p, dtype=float)
+    h0 = rep.hamiltonian(m0, p)  # refuses a p that is not a 3-vector, before the grid checks
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size < 2:
         raise ValueError("t_grid needs at least 2 samples to classify")
@@ -205,7 +206,6 @@ def classify_mass(rep: SpinorRep, m0: float, p, t_grid) -> MassReport:
                          f"not above {SPAN_MARGIN * CLASSIFY_TOL:.3g}")
 
     # U is the bare exp(-itD): propagator's U(t, 0) differs by e^{-iEt}, which would move bits.
-    h0 = rep.hamiltonian(m0, p)
     vals = energy * np.array([1.0, 1.0, -1.0, -1.0])
     c_mass = np.empty(t_grid.size)
     c_y = np.empty(t_grid.size)

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cliffrep import MAJORANA_LABELS, build_majorana
-from .matcore import (block_slices, commutator, frozen, kron_matrix, max_abs, trace_pair,
-                      traceless_labels)
+from .matcore import (MAX_SAMPLES, block_slices, commutator, frozen, kron_matrix, max_abs,
+                      trace_pair, traceless_labels)
 
 Label = tuple[str, str]
 
@@ -30,10 +30,6 @@ MAJORANA_H_SPAN: list[Label] = list(MAJORANA_LABELS)
 # Hamiltonians.
 IMAG_LABELS: list[Label] = [lab for lab in traceless_labels() if lab.count("y") == 1]
 
-
-# Most RK4 steps one integration may take; the trajectory holds 15 floats
-# per step.
-MAX_STEPS = 1_000_000
 
 # Relative distance of t_end / step from an integer that still counts as one.
 GRID_RTOL = 1e-9
@@ -54,6 +50,8 @@ def complement_span(h_span: list[Label]) -> list[Label]:
     if ("1", "1") in h_span:
         raise ValueError("identity label not allowed in h_span")
     taken = set(h_span)
+    if len(taken) < len(h_span) or not taken <= set(traceless_labels()):
+        raise ValueError(f"h_span must list distinct Kronecker labels, got {list(h_span)}")
     return [lab for lab in traceless_labels() if lab not in taken]
 
 
@@ -83,14 +81,15 @@ def check_isotropic(h: np.ndarray, k: float) -> float | np.ndarray:
 class BrachSystem:
     """Hamiltonian-plus-constraint initial data for the matrix flow.
 
-    H0 lies on the labels h_span and F0 = sum_a lambda0_a Y_a on the rest,
-    f_span = complement_span(h_span); k = Tr[H0^2]/2 is the energy budget.
+    H0 lies on the labels h_span and F0 = sum_a lambda0_a Y_a on the rest, f_span;
+    f_span = complement_span(h_span), F0 and the budget k = Tr[H0^2]/2 are built once.
     """
 
     h0: np.ndarray
     h_span: tuple[Label, ...]
     lambda0: np.ndarray
     f_span: tuple[Label, ...] = field(init=False)
+    f0: np.ndarray = field(init=False)
     k: float = field(init=False)
 
     def __post_init__(self):
@@ -103,9 +102,7 @@ class BrachSystem:
         if not (max_abs(h - (np.conj(basis) @ h / 4).real @ basis) <= 1e-12 * max_abs(h)
                 and np.isfinite(self.lambda0).all()):
             raise ValueError("H0 must lie on the real span of h_span and lambda0 must be finite")
-
-    def f0(self) -> np.ndarray:
-        return assemble_constraint(self.f_span, self.lambda0)
+        object.__setattr__(self, "f0", assemble_constraint(self.f_span, self.lambda0))
 
 
 def majorana_system(m: float, p, lam=None) -> BrachSystem:
@@ -190,8 +187,8 @@ def integrate_qbe(sys: BrachSystem, t_end: float, step: float) -> Trajectory:
     if not (math.isfinite(step) and math.isfinite(t_end) and step > 0 and t_end > 0):
         raise ValueError("step and t_end must be positive and finite")
     ratio = t_end / step
-    if ratio > MAX_STEPS + 0.5:
-        raise ValueError(f"t_end / step = {ratio:g} exceeds the cap of {MAX_STEPS} steps")
+    if ratio > MAX_SAMPLES + 0.5:
+        raise ValueError(f"t_end / step = {ratio:g} exceeds the cap of {MAX_SAMPLES} steps")
     n = round(ratio)
     if n == 0:
         raise ValueError(f"t_end / step = {ratio:g} rounds to 0 steps")
@@ -206,7 +203,7 @@ def integrate_qbe(sys: BrachSystem, t_end: float, step: float) -> Trajectory:
         basis[columns, half] = rows
     basis = basis.reshape(len(labels), 32)
 
-    a0 = sys.h0 + sys.f0()
+    a0 = sys.h0 + sys.f0
     c0 = np.array([trace_pair(a0, kron_matrix(lab)).real / 4.0 for lab in labels])
 
     # Tr[-i [H, F] Y_a] / 4 as a gather.  Each basis matrix Y_a has one

@@ -120,6 +120,13 @@ def test_hamiltonian_hermitian_with_correct_spectrum():
         assert max_abs(vals - [-energy, -energy, energy, energy]) < 1e-12
 
 
+@pytest.mark.parametrize("build", [build_majorana, build_dirac], ids=["majorana", "dirac"])
+def test_hamiltonian_refuses_a_momentum_that_is_not_a_3_vector(build):
+    # zip(p, alpha) would read a 2-vector as (p_x, p_y, 0) and drop a fourth component.
+    with pytest.raises(ValueError, match=r"p must be a 3-vector, got shape \(2,\)"):
+        build().hamiltonian(1.0, (1.0, 1.0))
+
+
 def test_gamma0_anticommutes_with_generators():
     rep = build_majorana()
     for a in (rep.mass_gen,) + rep.alpha:

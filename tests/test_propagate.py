@@ -303,6 +303,12 @@ def test_classify_requires_samples():
         classify_mass(build_majorana(), 1.0, (1.0, 1.0, 1.0), [])
 
 
+def test_classify_refuses_a_momentum_that_is_not_a_3_vector():
+    # A fourth component would count in E but not in H(0): ROTATING at 2 sqrt(29), not 2E = 4.
+    with pytest.raises(ValueError, match=r"p must be a 3-vector, got shape \(4,\)"):
+        classify_mass(build_majorana(), 1.0, (1.0, 1.0, 1.0, 5.0), np.linspace(0.0, 0.5, 300))
+
+
 @pytest.mark.parametrize("grid", [
     # 2EΔt = 4 * 0.7 < pi: the fewest samples the grid rule allows.
     np.linspace(0.0, 0.7, 2),

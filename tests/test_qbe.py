@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 from qbrach.angmom4 import toy_hamiltonian
 from qbrach.cliffrep import build_majorana
-from qbrach.matcore import (BLOCK_SAMPLES, block_slices, kron_matrix, max_abs, trace_pair,
-                            traceless_labels)
+from qbrach.matcore import (BLOCK_SAMPLES, MAX_SAMPLES, block_slices, kron_matrix, max_abs,
+                            trace_pair, traceless_labels)
 from qbrach.qbe import (
     IMAG_LABELS,
     MAJORANA_H_SPAN,
-    MAX_STEPS,
     BrachSystem,
     DivergenceError,
     angmom_system,
@@ -50,13 +49,39 @@ def test_complement_span_rejects_identity():
         complement_span([("1", "1")])
 
 
+@pytest.mark.parametrize("h_span", [
+    [("x", "1"), ("x", "1"), ("z", "z")],  # a repeated label
+    [("q", "1"), ("z", "z")],  # an unknown label
+], ids=["repeated", "unknown"])
+def test_complement_span_and_brach_system_refuse_a_bad_label(h_span):
+    """A repeated label would count its basis matrix twice when H is rebuilt."""
+    with pytest.raises(ValueError, match=r"h_span must list distinct Kronecker labels"):
+        complement_span(h_span)
+    with pytest.raises(ValueError, match=r"h_span must list distinct Kronecker labels"):
+        BrachSystem(0.5 * kron_matrix(("z", "z")), h_span, np.full(13, 0.2))
+
+
 def test_majorana_system_spans_and_isotropy():
     sys_ = majorana_system(1.0, (1.0, 1.0, 1.0))
     assert check_isotropic(sys_.h0, sys_.k) == 0
-    assert abs(trace_pair(sys_.h0, sys_.f0())) < 1e-12
+    assert abs(trace_pair(sys_.h0, sys_.f0)) < 1e-12
     # default constraint is the closed-orbit choice F = -E sigma_z (x) 1
     energy = 2.0
-    assert max_abs(sys_.f0() + energy * kron_matrix(("z", "1"))) < 1e-12
+    assert max_abs(sys_.f0 + energy * kron_matrix(("z", "1"))) < 1e-12
+    assert sys_.f0.tobytes() == assemble_constraint(sys_.f_span, sys_.lambda0).tobytes()
+
+
+def test_brach_system_refuses_a_lambda0_of_the_wrong_length_when_built():
+    h0 = majorana_system(1.0, (1.0, 1.0, 1.0)).h0
+    with pytest.raises(ValueError, match=r"expected 11 coefficients, got \(5,\)"):
+        BrachSystem(h0, MAJORANA_H_SPAN, np.zeros(5))
+    with pytest.raises(ValueError, match=r"expected 11 coefficients, got \(12,\)"):
+        majorana_system(1.0, (1.0, 1.0, 1.0), lam=np.zeros(12))
+
+
+def test_majorana_system_refuses_a_momentum_that_is_not_a_3_vector():
+    with pytest.raises(ValueError, match=r"p must be a 3-vector, got shape \(4,\)"):
+        majorana_system(1.0, (1.0, 1.0, 1.0, 5.0))
 
 
 def test_majorana_hamiltonian_coefficients():
@@ -211,7 +236,7 @@ def test_integrate_rejects_bad_step():
         integrate_qbe(sys_, 1.0, 0.0)
     # Grids that are not a whole, positive and bounded number of steps.
     for t_end, step in [(1.0, 0.3), (1.0, 2.0), (1.0, float("nan")),
-                        (float("inf"), 1e-3), (2.0 * MAX_STEPS, 1.0)]:
+                        (float("inf"), 1e-3), (2.0 * MAX_SAMPLES, 1.0)]:
         with pytest.raises(ValueError, match="positive and finite|rounds to 0 steps"
                                              "|not an integer number of steps|exceeds the cap"):
             integrate_qbe(sys_, t_end, step)
